@@ -33,10 +33,12 @@ bool CacheDirectory::Expired(const Entry& entry) const {
 }
 
 void CacheDirectory::InvalidateEntryLocked(const std::string& canonical,
-                                           Entry& entry, bool pin_key) {
+                                           Entry& entry, EndedList* ended,
+                                           bool pin_key) {
   assert(entry.is_valid);
   entry.is_valid = false;
   valid_count_.fetch_sub(1, std::memory_order_relaxed);
+  if (ended != nullptr) ended->push_back({canonical, entry.generation});
   {
     std::lock_guard<common::ContendedMutex> policy_lock(policy_mu_);
     policy_->OnRemove(canonical);
@@ -71,7 +73,7 @@ void CacheDirectory::ReclaimKeyOwner(DpcKey key) {
   }
 }
 
-LookupResult CacheDirectory::Lookup(const FragmentId& id) {
+LookupResult CacheDirectory::Lookup(const FragmentId& id, EndedList* ended) {
   std::string canonical = id.Canonical();
   Stripe& stripe = StripeFor(canonical);
   std::lock_guard<common::ContendedMutex> lock(stripe.mu);
@@ -88,7 +90,7 @@ LookupResult CacheDirectory::Lookup(const FragmentId& id) {
   if (Expired(entry)) {
     ttl_invalidations_.fetch_add(1, std::memory_order_relaxed);
     misses_.fetch_add(1, std::memory_order_relaxed);
-    InvalidateEntryLocked(canonical, entry);
+    InvalidateEntryLocked(canonical, entry, ended);
     return {LookupOutcome::kMissExpired};
   }
   hits_.fetch_add(1, std::memory_order_relaxed);
@@ -99,7 +101,7 @@ LookupResult CacheDirectory::Lookup(const FragmentId& id) {
   return {LookupOutcome::kHit, entry.key};
 }
 
-Status CacheDirectory::EvictOne() {
+Status CacheDirectory::EvictOne(EndedList* ended) {
   // Injected failure degrades like any eviction race: the Insert round
   // retries and ultimately reports CapacityExceeded (uncached emit).
   DYNAPROX_RETURN_IF_ERROR(
@@ -113,7 +115,7 @@ Status CacheDirectory::EvictOne() {
     return Status::CapacityExceeded(
         "directory full and no replacement candidate");
   }
-  Status invalidated = InvalidateCanonical(*victim);
+  Status invalidated = InvalidateCanonical(*victim, ended);
   if (invalidated.ok()) {
     evictions_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -124,7 +126,8 @@ Status CacheDirectory::EvictOne() {
 }
 
 Result<DpcKey> CacheDirectory::Insert(const FragmentId& id,
-                                      MicroTime ttl_micros) {
+                                      MicroTime ttl_micros, EndedList* ended,
+                                      uint64_t* generation) {
   if (Status injected = chaos::InjectStatus(
           DYNAPROX_FAULT_POINT("bem.directory.insert"));
       !injected.ok()) {
@@ -140,21 +143,28 @@ Result<DpcKey> CacheDirectory::Insert(const FragmentId& id,
     auto it = stripe.entries.find(canonical);
     if (it != stripe.entries.end() && it->second.is_valid) {
       explicit_invalidations_.fetch_add(1, std::memory_order_relaxed);
-      InvalidateEntryLocked(canonical, it->second);
+      InvalidateEntryLocked(canonical, it->second, ended);
     }
   }
 
   // Phase B — allocate a key, evicting victims as needed. Runs with no
   // stripe lock held: eviction touches arbitrary stripes. A freed key can
   // be snatched by a concurrent Insert before our re-Allocate; that just
-  // costs another round.
+  // costs another round, and only such a round counts as a race — the
+  // allocation that follows our own successful eviction is the normal
+  // full-directory path.
   Result<DpcKey> key = Status::CapacityExceeded("unallocated");
+  bool freed_a_key = false;
   for (int round = 0; round < kMaxInsertRounds; ++round) {
-    if (round > 0) insert_races_.fetch_add(1, std::memory_order_relaxed);
     key = free_list_.Allocate();
     if (key.ok()) break;
-    Status evicted = EvictOne();
+    if (freed_a_key) insert_races_.fetch_add(1, std::memory_order_relaxed);
+    Status evicted = EvictOne(ended);
     if (evicted.IsCapacityExceeded()) return evicted;
+    // NotFound: a concurrent caller invalidated the victim first, which
+    // released its key all the same. Any other error (an injected fault)
+    // freed nothing.
+    freed_a_key = evicted.ok() || evicted.IsNotFound();
   }
   if (!key.ok()) {
     return Status::CapacityExceeded("insert retry limit exhausted");
@@ -176,16 +186,18 @@ Result<DpcKey> CacheDirectory::Insert(const FragmentId& id,
     if (it != stripe.entries.end() && it->second.is_valid) {
       insert_races_.fetch_add(1, std::memory_order_relaxed);
       explicit_invalidations_.fetch_add(1, std::memory_order_relaxed);
-      InvalidateEntryLocked(canonical, it->second);
+      InvalidateEntryLocked(canonical, it->second, ended);
     }
-    stripe.entries[canonical] =
-        Entry{*key, /*is_valid=*/true, ttl_micros, clock_->NowMicros()};
+    uint64_t entry_generation =
+        inserts_.fetch_add(1, std::memory_order_relaxed) + 1;
+    stripe.entries[canonical] = Entry{*key, /*is_valid=*/true, ttl_micros,
+                                      clock_->NowMicros(), entry_generation};
+    if (generation != nullptr) *generation = entry_generation;
     {
       std::lock_guard<std::mutex> owner_lock(owner_mu_);
       key_owner_[*key] = canonical;
     }
     valid_count_.fetch_add(1, std::memory_order_relaxed);
-    inserts_.fetch_add(1, std::memory_order_relaxed);
     {
       std::lock_guard<common::ContendedMutex> policy_lock(policy_mu_);
       policy_->OnInsert(canonical);
@@ -195,11 +207,12 @@ Result<DpcKey> CacheDirectory::Insert(const FragmentId& id,
   return *key;
 }
 
-Status CacheDirectory::Invalidate(const FragmentId& id) {
-  return InvalidateCanonical(id.Canonical());
+Status CacheDirectory::Invalidate(const FragmentId& id, EndedList* ended) {
+  return InvalidateCanonical(id.Canonical(), ended);
 }
 
-Status CacheDirectory::InvalidateCanonical(const std::string& canonical) {
+Status CacheDirectory::InvalidateCanonical(const std::string& canonical,
+                                           EndedList* ended) {
   Stripe& stripe = StripeFor(canonical);
   std::lock_guard<common::ContendedMutex> lock(stripe.mu);
   auto it = stripe.entries.find(canonical);
@@ -207,11 +220,12 @@ Status CacheDirectory::InvalidateCanonical(const std::string& canonical) {
     return Status::NotFound("no valid entry: " + canonical);
   }
   explicit_invalidations_.fetch_add(1, std::memory_order_relaxed);
-  InvalidateEntryLocked(canonical, it->second);
+  InvalidateEntryLocked(canonical, it->second, ended);
   return Status::Ok();
 }
 
-Result<std::string> CacheDirectory::InvalidateKey(DpcKey key, bool pin_key) {
+Result<std::string> CacheDirectory::InvalidateKey(DpcKey key, bool pin_key,
+                                                  EndedList* ended) {
   if (key >= key_owner_.size()) {
     return Status::InvalidArgument("dpcKey out of range: " +
                                    std::to_string(key));
@@ -234,32 +248,32 @@ Result<std::string> CacheDirectory::InvalidateKey(DpcKey key, bool pin_key) {
     return Status::NotFound("key has no valid owner: " + std::to_string(key));
   }
   explicit_invalidations_.fetch_add(1, std::memory_order_relaxed);
-  InvalidateEntryLocked(owner, it->second, pin_key);
+  InvalidateEntryLocked(owner, it->second, ended, pin_key);
   return owner;
 }
 
-size_t CacheDirectory::InvalidateAll() {
+size_t CacheDirectory::InvalidateAll(EndedList* ended) {
   size_t count = 0;
   for (Stripe& stripe : stripes_) {
     std::lock_guard<common::ContendedMutex> lock(stripe.mu);
     for (auto& [canonical, entry] : stripe.entries) {
       if (!entry.is_valid) continue;
       explicit_invalidations_.fetch_add(1, std::memory_order_relaxed);
-      InvalidateEntryLocked(canonical, entry);
+      InvalidateEntryLocked(canonical, entry, ended);
       ++count;
     }
   }
   return count;
 }
 
-size_t CacheDirectory::SweepExpired() {
+size_t CacheDirectory::SweepExpired(EndedList* ended) {
   size_t count = 0;
   for (Stripe& stripe : stripes_) {
     std::lock_guard<common::ContendedMutex> lock(stripe.mu);
     for (auto& [canonical, entry] : stripe.entries) {
       if (!entry.is_valid || !Expired(entry)) continue;
       ttl_invalidations_.fetch_add(1, std::memory_order_relaxed);
-      InvalidateEntryLocked(canonical, entry);
+      InvalidateEntryLocked(canonical, entry, ended);
       ++count;
     }
   }

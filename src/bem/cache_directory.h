@@ -74,7 +74,10 @@ struct DirectoryStats {
 // internal mutex — all leaves. No operation ever holds two stripe mutexes,
 // and cross-stripe work (eviction of a victim in another stripe, reclaim
 // of a stale key owner) runs with no stripe mutex held, re-validating
-// under the target stripe's lock. The replacement policy stays one global
+// under the target stripe's lock. The directory never calls the dependency
+// registry: it reports the entries whose validity a call ended (see
+// Ended), and the monitor drops their dependencies once no stripe lock is
+// held. The replacement policy stays one global
 // instance behind its own mutex so victim selection keeps the exact
 // sequential LRU/FIFO/CLOCK semantics the model tests and
 // bench/ablation_replacement pin down.
@@ -88,20 +91,38 @@ class CacheDirectory {
   CacheDirectory(DpcKey capacity, const Clock* clock,
                  std::unique_ptr<ReplacementPolicy> policy);
 
+  // An entry whose validity a call ended — eviction, TTL expiry or
+  // invalidation: the fragment and the generation of the incarnation that
+  // ended. Every insert gets a new, larger generation, so a report that
+  // arrives late never names a newer incarnation of the same fragment.
+  struct Ended {
+    std::string canonical;
+    uint64_t generation;
+  };
+  using EndedList = std::vector<Ended>;
+  // Every mutating call below takes an optional `ended` list and appends
+  // one record per entry whose validity it ended. The caller acts on them
+  // after the call returns, with no directory lock held (BackEndMonitor
+  // drops their dependencies).
+
   // Looks up `id`; on a hit the replacement policy sees an access. Expired
   // entries are invalidated lazily here.
-  LookupResult Lookup(const FragmentId& id);
+  LookupResult Lookup(const FragmentId& id, EndedList* ended = nullptr);
 
   // Registers `id` as cached and returns its new dpcKey. If the key space
   // is full, evicts a victim chosen by the replacement policy. Re-inserting
   // a currently-valid fragment first invalidates it (fresh key), matching
   // the paper's miss-path ("an entry is inserted into the cache directory").
-  Result<DpcKey> Insert(const FragmentId& id, MicroTime ttl_micros);
+  // `generation`, when set, receives the new entry's generation.
+  Result<DpcKey> Insert(const FragmentId& id, MicroTime ttl_micros,
+                        EndedList* ended = nullptr,
+                        uint64_t* generation = nullptr);
 
   // Marks `id` invalid and pushes its key on the free list. NotFound if the
   // fragment is unknown or already invalid.
-  Status Invalidate(const FragmentId& id);
-  Status InvalidateCanonical(const std::string& canonical);
+  Status Invalidate(const FragmentId& id, EndedList* ended = nullptr);
+  Status InvalidateCanonical(const std::string& canonical,
+                             EndedList* ended = nullptr);
 
   // Invalidates whichever valid fragment currently owns `key` (used by the
   // DPC cold-cache recovery protocol, which only knows dpcKeys). Returns
@@ -111,13 +132,14 @@ class CacheDirectory {
   // gets the same key back. The DPC's streamed recovery depends on that:
   // it has already committed `GET key` to the client and can only fill
   // the slot if the refreshed template SETs the same key.
-  Result<std::string> InvalidateKey(DpcKey key, bool pin_key = false);
+  Result<std::string> InvalidateKey(DpcKey key, bool pin_key = false,
+                                    EndedList* ended = nullptr);
 
   // Invalidates every valid entry; returns how many.
-  size_t InvalidateAll();
+  size_t InvalidateAll(EndedList* ended = nullptr);
 
   // Proactively invalidates expired entries; returns how many.
-  size_t SweepExpired();
+  size_t SweepExpired(EndedList* ended = nullptr);
 
   // Introspection.
   DpcKey capacity() const { return free_list_.capacity(); }
@@ -135,7 +157,10 @@ class CacheDirectory {
     uint64_t stripe_contentions = 0;     // Contended stripe-mutex locks.
     uint64_t policy_contentions = 0;     // Contended policy-mutex locks.
     uint64_t free_list_contentions = 0;  // Contended free-list locks.
-    uint64_t insert_races = 0;  // Insert rounds retried under concurrency.
+    // Inserts that lost to a concurrent insert: an allocation round whose
+    // freed key another insert took, or a publish that found a concurrent
+    // insert of the same fragment.
+    uint64_t insert_races = 0;
   };
   ConcurrencyStats concurrency_stats() const;
 
@@ -160,6 +185,7 @@ class CacheDirectory {
     bool is_valid;
     MicroTime ttl_micros;    // <= 0: no expiry.
     MicroTime inserted_at;
+    uint64_t generation;     // The insert count when this entry was made.
   };
 
   struct Stripe {
@@ -172,17 +198,18 @@ class CacheDirectory {
   }
 
   bool Expired(const Entry& entry) const;
-  // Shared invalidation: flips the flag, releases the key, updates policy.
-  // Caller holds the entry's stripe mutex. `pin_key` releases to the front
-  // of the free list (refresh reuse).
+  // Shared invalidation: flips the flag, releases the key, updates policy,
+  // and records the end in `ended` when set. Caller holds the entry's
+  // stripe mutex. `pin_key` releases to the front of the free list
+  // (refresh reuse).
   void InvalidateEntryLocked(const std::string& canonical, Entry& entry,
-                             bool pin_key = false);
+                             EndedList* ended, bool pin_key = false);
   // Reclaims the stale invalid entry (if any) that still references `key`.
   // Takes the owner's stripe lock itself; caller must hold NO stripe lock.
   void ReclaimKeyOwner(DpcKey key);
   // Frees one key by evicting a policy victim. CapacityExceeded when the
   // policy has no candidates. Caller must hold NO stripe lock.
-  Status EvictOne();
+  Status EvictOne(EndedList* ended);
 
   const Clock* clock_;
   std::unique_ptr<ReplacementPolicy> policy_;  // Guarded by policy_mu_.

@@ -2,19 +2,9 @@
 
 namespace dynaprox::bem {
 
-void DependencyRegistry::Add(const std::string& canonical,
-                             const std::string& table,
-                             const std::string& row_key) {
-  std::lock_guard<common::ContendedMutex> lock(mu_);
-  by_source_[table][row_key].insert(canonical);
-  by_fragment_[canonical].insert(Dep{table, row_key});
-}
-
-void DependencyRegistry::RemoveFragment(const std::string& canonical) {
-  std::lock_guard<common::ContendedMutex> lock(mu_);
-  auto it = by_fragment_.find(canonical);
-  if (it == by_fragment_.end()) return;
-  for (const Dep& dep : it->second) {
+void DependencyRegistry::UnlinkLocked(const std::string& canonical,
+                                      const std::set<Dep>& deps) {
+  for (const Dep& dep : deps) {
     auto table_it = by_source_.find(dep.table);
     if (table_it == by_source_.end()) continue;
     auto row_it = table_it->second.find(dep.row_key);
@@ -23,13 +13,36 @@ void DependencyRegistry::RemoveFragment(const std::string& canonical) {
     if (row_it->second.empty()) table_it->second.erase(row_it);
     if (table_it->second.empty()) by_source_.erase(table_it);
   }
-  by_fragment_.erase(it);
 }
 
-void DependencyRegistry::Clear() {
+void DependencyRegistry::BeginIncarnation(const std::string& canonical,
+                                          uint64_t generation) {
   std::lock_guard<common::ContendedMutex> lock(mu_);
-  by_source_.clear();
-  by_fragment_.clear();
+  auto [it, inserted] = by_fragment_.try_emplace(canonical);
+  Incarnation& incarnation = it->second;
+  if (!inserted) {
+    if (incarnation.generation > generation) return;
+    UnlinkLocked(canonical, incarnation.deps);
+    incarnation.deps.clear();
+  }
+  incarnation.generation = generation;
+}
+
+void DependencyRegistry::Add(const std::string& canonical,
+                             const std::string& table,
+                             const std::string& row_key) {
+  std::lock_guard<common::ContendedMutex> lock(mu_);
+  by_source_[table][row_key].insert(canonical);
+  by_fragment_[canonical].deps.insert(Dep{table, row_key});
+}
+
+void DependencyRegistry::RemoveFragment(const std::string& canonical,
+                                        uint64_t generation) {
+  std::lock_guard<common::ContendedMutex> lock(mu_);
+  auto it = by_fragment_.find(canonical);
+  if (it == by_fragment_.end() || it->second.generation > generation) return;
+  UnlinkLocked(canonical, it->second.deps);
+  by_fragment_.erase(it);
 }
 
 std::vector<std::string> DependencyRegistry::Affected(

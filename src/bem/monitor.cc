@@ -28,7 +28,9 @@ BackEndMonitor::BackEndMonitor(DpcKey capacity, const Clock* clock,
 BackEndMonitor::~BackEndMonitor() { DetachRepository(); }
 
 LookupResult BackEndMonitor::LookupFragment(const FragmentId& id) {
-  LookupResult result = directory_.Lookup(id);
+  CacheDirectory::EndedList ended;
+  LookupResult result = directory_.Lookup(id, &ended);
+  DropDependencies(ended);
   if (FragmentEventObserver* obs = observer(); obs != nullptr) {
     obs->OnLookup(id.Canonical(), result.hit());
   }
@@ -38,12 +40,15 @@ LookupResult BackEndMonitor::LookupFragment(const FragmentId& id) {
 Result<DpcKey> BackEndMonitor::InsertFragment(const FragmentId& id,
                                               MicroTime ttl_micros) {
   if (ttl_micros < 0) ttl_micros = default_ttl_micros_;
-  // A fresh insert supersedes any dependencies registered for the previous
-  // incarnation of this fragment; the generating code block re-declares
-  // them as it runs.
-  registry_.RemoveFragment(id.Canonical());
-  Result<DpcKey> key = directory_.Insert(id, ttl_micros);
+  CacheDirectory::EndedList ended;
+  uint64_t generation = 0;
+  Result<DpcKey> key = directory_.Insert(id, ttl_micros, &ended, &generation);
+  DropDependencies(ended);
   if (key.ok()) {
+    // A fresh insert supersedes any dependencies registered for the
+    // previous incarnation of this fragment; the generating code block
+    // re-declares them as it runs.
+    registry_.BeginIncarnation(id.Canonical(), generation);
     if (FragmentEventObserver* obs = observer(); obs != nullptr) {
       obs->OnInsert(id.Canonical(), *key);
     }
@@ -58,8 +63,9 @@ void BackEndMonitor::AddDependency(const FragmentId& id,
 }
 
 Status BackEndMonitor::Invalidate(const FragmentId& id) {
-  registry_.RemoveFragment(id.Canonical());
-  Status status = directory_.Invalidate(id);
+  CacheDirectory::EndedList ended;
+  Status status = directory_.Invalidate(id, &ended);
+  DropDependencies(ended);
   if (status.ok()) {
     if (FragmentEventObserver* obs = observer(); obs != nullptr) {
       obs->OnInvalidate(id.Canonical());
@@ -69,9 +75,11 @@ Status BackEndMonitor::Invalidate(const FragmentId& id) {
 }
 
 Status BackEndMonitor::InvalidateKey(DpcKey key) {
-  Result<std::string> owner = directory_.InvalidateKey(key);
+  CacheDirectory::EndedList ended;
+  Result<std::string> owner =
+      directory_.InvalidateKey(key, /*pin_key=*/false, &ended);
   if (!owner.ok()) return owner.status();
-  registry_.RemoveFragment(*owner);
+  DropDependencies(ended);
   if (FragmentEventObserver* obs = observer(); obs != nullptr) {
     obs->OnInvalidate(*owner);
   }
@@ -79,20 +87,32 @@ Status BackEndMonitor::InvalidateKey(DpcKey key) {
 }
 
 Result<std::string> BackEndMonitor::RefreshKey(DpcKey key) {
-  Result<std::string> owner = directory_.InvalidateKey(key, /*pin_key=*/true);
-  if (!owner.ok()) return owner.status();
-  registry_.RemoveFragment(*owner);
+  CacheDirectory::EndedList ended;
+  Result<std::string> owner =
+      directory_.InvalidateKey(key, /*pin_key=*/true, &ended);
+  DropDependencies(ended);
   return owner;
 }
 
 size_t BackEndMonitor::InvalidateAll() {
-  size_t count = directory_.InvalidateAll();
-  // Dependencies die with their fragments.
-  registry_.Clear();
+  CacheDirectory::EndedList ended;
+  size_t count = directory_.InvalidateAll(&ended);
+  DropDependencies(ended);
   return count;
 }
 
-size_t BackEndMonitor::SweepExpired() { return directory_.SweepExpired(); }
+size_t BackEndMonitor::SweepExpired() {
+  CacheDirectory::EndedList ended;
+  size_t count = directory_.SweepExpired(&ended);
+  DropDependencies(ended);
+  return count;
+}
+
+void BackEndMonitor::DropDependencies(const CacheDirectory::EndedList& ended) {
+  for (const CacheDirectory::Ended& entry : ended) {
+    registry_.RemoveFragment(entry.canonical, entry.generation);
+  }
+}
 
 DirectoryStats BackEndMonitor::stats() const { return directory_.stats(); }
 
@@ -131,8 +151,9 @@ void BackEndMonitor::DetachRepository() {
 size_t BackEndMonitor::OnDataSourceUpdate(const storage::UpdateEvent& event) {
   size_t count = 0;
   for (const std::string& canonical : registry_.Affected(event)) {
-    Status status = directory_.InvalidateCanonical(canonical);
-    registry_.RemoveFragment(canonical);
+    CacheDirectory::EndedList ended;
+    Status status = directory_.InvalidateCanonical(canonical, &ended);
+    DropDependencies(ended);
     if (status.ok()) {
       ++count;
       if (FragmentEventObserver* obs = observer(); obs != nullptr) {

@@ -68,12 +68,22 @@ class FragmentEventObserver {
 // proceed without serializing here. See docs/threading-model.md and
 // concurrency_stats() for the contention evidence.
 //
-// Cross-structure ordering note: InsertFragment removes the fragment's old
-// dependencies before inserting; the generator re-declares them after. A
-// data-source update that races with regeneration can therefore miss the
-// in-flight incarnation — the same window the sequential big-lock version
-// had (lookup/insert/add-dependency were always three separate critical
-// sections), and the DPC recovery protocol covers it.
+// Dependency lifetime equals directory residency: every directory call that
+// ends an entry's validity — eviction inside an insert, TTL expiry in a
+// lookup or sweep, any invalidation — reports the ended entries, and the
+// monitor drops their dependencies after the call returns, so the registry
+// holds dependencies only for fragments the directory holds. The registry
+// mutex stays a leaf: it is never taken while a stripe lock is held.
+//
+// Cross-structure ordering note: InsertFragment starts the fragment's new
+// dependency incarnation right after the directory insert; the generator
+// declares the dependencies after that. A data-source update that races
+// with regeneration can therefore miss the in-flight incarnation — the
+// same window the sequential big-lock version had (lookup/insert/add-
+// dependency were always three separate critical sections), and the DPC
+// recovery protocol covers it. Symmetrically, a fragment evicted between
+// its insert and its dependency declarations leaves those dependencies
+// behind until it is next inserted; only that race can leave them.
 class BackEndMonitor {
  public:
   // Builds a monitor; fails on an unknown replacement policy name.
@@ -166,6 +176,10 @@ class BackEndMonitor {
   FragmentEventObserver* observer() const {
     return observer_.load(std::memory_order_acquire);
   }
+
+  // Drops the dependencies of each incarnation in `ended`. Called with no
+  // directory lock held.
+  void DropDependencies(const CacheDirectory::EndedList& ended);
 
   CacheDirectory directory_;    // Internally striped.
   DependencyRegistry registry_; // Internally synchronized.

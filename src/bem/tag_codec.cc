@@ -1,18 +1,27 @@
 #include "bem/tag_codec.h"
 
+#include <cstring>
+
 #include "common/strings.h"
 
 namespace dynaprox::bem {
 
 void TagCodec::AppendLiteral(std::string_view text, std::string& out) {
-  for (char c : text) {
-    if (c == kStx) {
-      out += kStx;
-      out += 'L';
-      out += kEtx;
-    } else {
-      out += c;
+  static constexpr char kEscape[] = {kStx, 'L', kEtx};
+  // Appends whole runs between STX bytes, found with memchr. The loop
+  // guard also keeps an empty view's (possibly null) data pointer away
+  // from memchr.
+  while (!text.empty()) {
+    const void* stx = std::memchr(text.data(), kStx, text.size());
+    if (stx == nullptr) {
+      out.append(text);
+      return;
     }
+    size_t run = static_cast<size_t>(static_cast<const char*>(stx) -
+                                     text.data());
+    out.append(text.data(), run);
+    out.append(kEscape, sizeof(kEscape));
+    text.remove_prefix(run + 1);
   }
 }
 

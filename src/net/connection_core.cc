@@ -234,10 +234,15 @@ AcceptGate::FailureAction AcceptGate::OnAcceptFailure(int err) {
     case EMFILE:
     case ENFILE:
       // Fd exhaustion is an episode, not a fatal listener error: keep
-      // the accept path alive, log/count once per *episode* — the latch
-      // re-arms on the next successful accept, so a later outage is
-      // reported again rather than silenced for the server's life.
-      if (!env_.fd_exhausted->exchange(true)) {
+      // the accept path alive, log/count once per *episode*. A failure
+      // opens a new episode when the latch is clear, or when the accept
+      // path had been healthy for the quiet period since the last one —
+      // so a later outage is reported again rather than silenced for the
+      // server's life, but a flapping outage stays one episode.
+      if (MicroTime since = healthy_since_.exchange(0, kRelaxed);
+          !fd_exhausted_.exchange(true) ||
+          (since != 0 && env_.clock->NowMicros() - since >=
+                             kFdExhaustionQuietMicros)) {
         env_.counters->accept_fd_exhaustion_episodes.fetch_add(1, kRelaxed);
         DYNAPROX_LOG(kError, env_.log_tag)
             << "accept: " << std::strerror(err)
@@ -250,12 +255,18 @@ AcceptGate::FailureAction AcceptGate::OnAcceptFailure(int err) {
 }
 
 bool AcceptGate::Admit(int fd, IngressCounters* worker) {
-  // Accept works again: re-arm per-episode exhaustion reporting. The
-  // load screens out the common case so the hot path stays write-free;
-  // the exchange makes sure only one accepting thread logs the recovery.
-  if (env_.fd_exhausted->load(kRelaxed) &&
-      env_.fd_exhausted->exchange(false)) {
-    DYNAPROX_LOG(kInfo, env_.log_tag) << "accept: fd exhaustion cleared";
+  // Accept works again: re-arm per-episode exhaustion reporting once it
+  // has kept working for the quiet period. The load screens out the
+  // common case so the hot path stays write-free; the exchange makes sure
+  // only one accepting thread logs the recovery.
+  if (fd_exhausted_.load(kRelaxed)) {
+    MicroTime now = env_.clock->NowMicros();
+    MicroTime since = 0;
+    if (!healthy_since_.compare_exchange_strong(since, now, kRelaxed) &&
+        now - since >= kFdExhaustionQuietMicros &&
+        fd_exhausted_.exchange(false)) {
+      DYNAPROX_LOG(kInfo, env_.log_tag) << "accept: fd exhaustion cleared";
+    }
   }
   if (chaos::FaultDecision fault =
           chaos::ApplyDelay(DYNAPROX_FAULT_POINT("net.accept")->Evaluate())) {

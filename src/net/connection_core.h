@@ -181,11 +181,16 @@ class AcceptGate {
     // gauge — a shared gauge would count foreign connections toward our
     // cap.
     std::atomic<int64_t>* live = nullptr;
-    // EMFILE/ENFILE episode latch: set once per sustained outage,
-    // re-armed by the next successful accept.
-    std::atomic<bool>* fd_exhausted = nullptr;
     const char* log_tag = "net";
+    // Time source for the fd-exhaustion quiet period (steady clock).
+    const Clock* clock = SystemClock::Default();
   };
+
+  // How long the accept path must stay healthy — accepts succeeding, no
+  // EMFILE/ENFILE — after its first successful accept before the
+  // exhaustion latch re-arms. One accept that succeeds mid-outage (a
+  // starved client gave up and freed one fd) does not end the episode.
+  static constexpr MicroTime kFdExhaustionQuietMicros = 10 * kMicrosPerMilli;
 
   explicit AcceptGate(const Env& env) : env_(env) {}
 
@@ -197,6 +202,7 @@ class AcceptGate {
   };
 
   // Triage for a failed accept(); counts/logs fd-exhaustion episodes.
+  // Thread-safe: every worker drives the same gate.
   FailureAction OnAcceptFailure(int err);
 
   // Admission for a freshly accepted fd: evaluates the `net.accept`
@@ -211,6 +217,12 @@ class AcceptGate {
 
  private:
   const Env env_;
+  // EMFILE/ENFILE episode latch: set by the failure that opens an episode,
+  // cleared once the accept path has been healthy for the quiet period.
+  std::atomic<bool> fd_exhausted_{false};
+  // When the first successful accept after the latest fd-exhaustion
+  // failure happened; 0 = none since that failure.
+  std::atomic<MicroTime> healthy_since_{0};
 };
 
 }  // namespace dynaprox::net

@@ -349,8 +349,7 @@ EpollServer::EpollServer(Handler handler, uint16_t port, int num_workers,
       limits_(limits),
       counters_(limits.counters != nullptr ? limits.counters
                                            : &own_counters_),
-      gate_({&limits_, counters_, &live_connections_, &accept_fd_exhausted_,
-             "epoll"}) {
+      gate_({&limits_, counters_, &live_connections_, "epoll"}) {
   if (limits_.worker_counters != nullptr &&
       limits_.worker_counter_count >= requested_workers_) {
     worker_counters_ = limits_.worker_counters;

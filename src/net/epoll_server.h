@@ -125,13 +125,8 @@ class EpollServer {
   // This server's open connections, distinct from the (possibly shared)
   // IngressCounters gauge; Stop(drain) polls it to detect completion.
   std::atomic<int64_t> live_connections_{0};
-  // Set by the first worker that hits EMFILE/ENFILE so one sustained
-  // exhaustion is logged (and counted as an episode) once, not once per
-  // accept round — and cleared again when any worker accepts
-  // successfully, so the *next* outage is reported too.
-  std::atomic<bool> accept_fd_exhausted_{false};
-  // Shared accept admission (cap, net.accept fault point, gauges); all
-  // workers drive the one gate.
+  // Shared accept admission (cap, net.accept fault point, gauges, the
+  // once-per-episode EMFILE latch); all workers drive the one gate.
   AcceptGate gate_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::thread> threads_;

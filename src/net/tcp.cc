@@ -38,8 +38,7 @@ TcpServer::TcpServer(Handler handler, uint16_t port, ServerLimits limits)
       limits_(limits),
       counters_(limits.counters != nullptr ? limits.counters
                                            : &own_counters_),
-      gate_({&limits_, counters_, &live_connections_, &fd_exhausted_,
-             "tcp"}) {}
+      gate_({&limits_, counters_, &live_connections_, "tcp"}) {}
 
 TcpServer::~TcpServer() { Stop(); }
 

@@ -96,8 +96,6 @@ class TcpServer {
   std::map<std::thread::id, std::thread> connection_threads_;  // By mu_.
   std::vector<std::thread> finished_threads_;                  // By mu_.
   std::vector<int> active_fds_;  // Guarded by mu_; shut down in Stop().
-  // EMFILE/ENFILE episode latch for the shared AcceptGate triage.
-  std::atomic<bool> fd_exhausted_{false};
 };
 
 struct TcpClientOptions {

@@ -99,6 +99,30 @@ TEST(BemConcurrencyTest, ConcurrentInsertsOfSameCanonicalKeepOneValidEntry) {
   EXPECT_LE(valid_canonicals.size(), 4u);
 }
 
+TEST(BemConcurrencyTest, InsertRacesCountKeysTakenByConcurrentInserts) {
+  // Threads inserting distinct fragments into one full directory steal
+  // each other's freshly evicted keys; each stolen round is one race.
+  // Scheduling decides how often that happens, so rerun until it does.
+  uint64_t races = 0;
+  for (int attempt = 0; attempt < 20 && races == 0; ++attempt) {
+    SimClock clock;
+    CacheDirectory dir(8, &clock, *MakeReplacementPolicy("lru"));
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 8; ++t) {
+      threads.emplace_back([&dir, t] {
+        for (int i = 0; i < 1000; ++i) {
+          (void)dir.Insert(
+              Frag("t" + std::to_string(t) + "-" + std::to_string(i)), 0);
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    CheckKeyInvariants(dir, 8);
+    races = dir.concurrency_stats().insert_races;
+  }
+  EXPECT_GT(races, 0u);
+}
+
 TEST(BemConcurrencyTest, FreeListNeverHandsOutAKeyTwice) {
   constexpr DpcKey kCapacity = 64;
   FreeList list(kCapacity);

@@ -71,5 +71,25 @@ TEST(DependencyRegistryTest, DuplicateAddIsIdempotent) {
   EXPECT_TRUE(registry.Affected(Event("t", "k")).empty());
 }
 
+TEST(DependencyRegistryTest, LateEndReportSparesANewerIncarnation) {
+  // The registry guards each incarnation by its insert generation: ending
+  // an old incarnation after the fragment was re-inserted must leave the
+  // new incarnation's dependencies alone.
+  DependencyRegistry registry;
+  registry.BeginIncarnation("f", 1);
+  registry.Add("f", "t", "old");
+  registry.BeginIncarnation("f", 2);
+  registry.Add("f", "t", "new");
+  registry.RemoveFragment("f", 1);  // Late report for generation 1.
+  EXPECT_EQ(registry.fragment_count(), 1u);
+  EXPECT_TRUE(registry.Affected(Event("t", "old")).empty());
+  EXPECT_EQ(registry.Affected(Event("t", "new")),
+            std::vector<std::string>{"f"});
+  registry.BeginIncarnation("f", 1);  // Stale begin: ignored.
+  EXPECT_EQ(registry.Affected(Event("t", "new")).size(), 1u);
+  registry.RemoveFragment("f", 2);
+  EXPECT_EQ(registry.fragment_count(), 0u);
+}
+
 }  // namespace
 }  // namespace dynaprox::bem

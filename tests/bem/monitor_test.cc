@@ -1,5 +1,8 @@
 #include "bem/monitor.h"
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/clock.h"
@@ -210,6 +213,83 @@ TEST(MonitorTest, SweepExpiredCountsOnlyExpired) {
   ASSERT_TRUE(monitor->InsertFragment(FragmentId("b"), 0).ok());
   clock.AdvanceSeconds(2);
   EXPECT_EQ(monitor->SweepExpired(), 1u);
+}
+
+// Inserts a fresh fragment "f<i>" depending on row "r<i>" of table "t".
+FragmentId InsertWithDependency(BackEndMonitor& monitor, int i,
+                                MicroTime ttl_micros = 0) {
+  FragmentId id("f" + std::to_string(i));
+  EXPECT_TRUE(monitor.InsertFragment(id, ttl_micros).ok());
+  monitor.AddDependency(id, "t", "r" + std::to_string(i));
+  return id;
+}
+
+TEST(MonitorTest, DependenciesLiveOnlyWhileResidentUnderEviction) {
+  constexpr DpcKey kCapacity = 8;
+  SimClock clock;
+  storage::ContentRepository repository;
+  storage::Table* table = repository.GetOrCreateTable("t");
+  auto monitor = *BackEndMonitor::Create(Options(&clock, kCapacity));
+  monitor->AttachRepository(&repository);
+
+  for (int i = 0; i < 200; ++i) {
+    InsertWithDependency(*monitor, i);
+    ASSERT_LE(monitor->dependencies().fragment_count(), kCapacity)
+        << "after insert " << i;
+  }
+  EXPECT_EQ(monitor->stats().evictions, 200u - kCapacity);
+  // An evicted fragment's row no longer reaches the directory...
+  EXPECT_EQ(monitor->OnDataSourceUpdate(
+                {"t", "r0", storage::UpdateKind::kUpdate}),
+            0u);
+  // ...while a resident fragment's row still invalidates it.
+  FragmentId resident("f199");
+  ASSERT_TRUE(monitor->LookupFragment(resident).hit());
+  table->Upsert("r199", {});
+  EXPECT_EQ(monitor->LookupFragment(resident).outcome,
+            LookupOutcome::kMissInvalid);
+  EXPECT_EQ(monitor->dependencies().fragment_count(), kCapacity - 1);
+}
+
+TEST(MonitorTest, DependenciesLiveOnlyWhileResidentUnderTtlExpiry) {
+  constexpr DpcKey kCapacity = 8;
+  SimClock clock;
+  auto monitor = *BackEndMonitor::Create(Options(&clock, kCapacity));
+  // Lookup expiry: each round's fragments expire before the next round,
+  // and the lookup that notices drops their dependencies.
+  for (int round = 0; round < 10; ++round) {
+    std::vector<FragmentId> ids;
+    for (int i = 0; i < 4; ++i) {
+      ids.push_back(
+          InsertWithDependency(*monitor, round * 4 + i, kMicrosPerSecond));
+    }
+    ASSERT_LE(monitor->dependencies().fragment_count(), kCapacity);
+    clock.AdvanceSeconds(2);
+    for (const FragmentId& id : ids) {
+      EXPECT_EQ(monitor->LookupFragment(id).outcome,
+                LookupOutcome::kMissExpired);
+    }
+    EXPECT_EQ(monitor->dependencies().fragment_count(), 0u);
+  }
+  // SweepExpired: the sweep drops them without any lookup.
+  for (int i = 100; i < 100 + static_cast<int>(kCapacity); ++i) {
+    InsertWithDependency(*monitor, i, kMicrosPerSecond);
+  }
+  EXPECT_EQ(monitor->dependencies().fragment_count(), kCapacity);
+  clock.AdvanceSeconds(2);
+  EXPECT_EQ(monitor->SweepExpired(), kCapacity);
+  EXPECT_EQ(monitor->dependencies().fragment_count(), 0u);
+}
+
+TEST(MonitorTest, InsertsIntoAFullDirectoryAreNotRaces) {
+  SimClock clock;
+  auto monitor = *BackEndMonitor::Create(Options(&clock, 4));
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(monitor->InsertFragment(FragmentId("f" + std::to_string(i)))
+                    .ok());
+  }
+  EXPECT_EQ(monitor->stats().evictions, 96u);
+  EXPECT_EQ(monitor->concurrency_stats().insert_races, 0u);
 }
 
 }  // namespace

@@ -11,11 +11,15 @@
 //     shared IngressCounters gauge;
 //   - Stop(drain) finishes the in-flight request, answers it with
 //     "Connection: close", and counts the connection drained — even
-//     when the drain begins while the handler is still running.
+//     when the drain begins while the handler is still running;
+//   - one fd-exhaustion outage is one episode, even when a single accept
+//     succeeds in its middle.
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -25,10 +29,12 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "http/parser.h"
+#include "net/connection_core.h"
 #include "net/epoll_server.h"
 #include "net/tcp.h"
 
@@ -296,9 +302,135 @@ TEST_P(ServerConformanceTest, DrainServesRequestBytesAlreadyBuffered) {
   ::close(busy);
 }
 
+// Opens /dev/null until the fd table is full; returns the fds.
+std::vector<int> FillFdTable() {
+  std::vector<int> dummies;
+  for (;;) {
+    int fd = ::open("/dev/null", O_RDONLY);
+    if (fd < 0) break;
+    dummies.push_back(fd);
+  }
+  return dummies;
+}
+
+void CloseOne(std::vector<int>& fds) {
+  ::close(fds.back());
+  fds.pop_back();
+}
+
+// Polls `done` every millisecond for up to ~2 s.
+template <typename Pred>
+bool WaitFor(Pred done) {
+  for (int i = 0; i < 2000 && !done(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return done();
+}
+
+TEST_P(ServerConformanceTest, FlappingFdExhaustionIsOneEpisode) {
+  // A starved client that gives up frees one fd, so one accept succeeds
+  // in the middle of the outage and the next client fails again at once.
+  // That is still one episode; only a quiet period of healthy accepts
+  // ends it, after which the next outage counts again.
+  ServerUnderTest server(GetParam(), EchoHandler);
+  ASSERT_TRUE(server.Start().ok());
+  const IngressCounters& ingress = server.ingress();
+  auto episodes = [&] {
+    return ingress.accept_fd_exhaustion_episodes.load();
+  };
+
+  rlimit original{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &original), 0);
+  rlimit tight = original;
+  tight.rlim_cur = 128;
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &tight), 0);
+
+  std::vector<int> dummies = FillFdTable();
+  ASSERT_GE(dummies.size(), 3u);
+  // Client A's socket takes the one free fd; the server's accept fails.
+  CloseOne(dummies);
+  int a = ConnectTo(server.port());
+  ASSERT_GE(a, 0);
+  ASSERT_TRUE(WaitFor([&] { return episodes() == 1; }));
+  // One more free fd: the server accepts A mid-outage, filling the table.
+  CloseOne(dummies);
+  ASSERT_TRUE(WaitFor([&] { return ingress.accepted_total.load() == 1; }));
+  // Client B takes the next free fd; the server's accept fails again.
+  CloseOne(dummies);
+  int b = ConnectTo(server.port());
+  ASSERT_GE(b, 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(episodes(), 1u) << "a mid-outage accept split the episode";
+
+  // The outage ends. A healthy accept followed by the quiet period
+  // re-arms the latch, so the next outage is a new episode.
+  for (int fd : dummies) ::close(fd);
+  ::close(a);
+  ::close(b);
+  int healthy = ConnectTo(server.port());
+  ASSERT_GE(healthy, 0);
+  ASSERT_TRUE(WaitFor([&] { return ingress.accepted_total.load() == 3; }));
+  ::close(healthy);
+  ASSERT_TRUE(WaitFor([&] { return ingress.open_connections.load() == 0; }));
+  std::this_thread::sleep_for(std::chrono::microseconds(
+      3 * AcceptGate::kFdExhaustionQuietMicros));
+  dummies = FillFdTable();
+  ASSERT_FALSE(dummies.empty());
+  CloseOne(dummies);
+  int c = ConnectTo(server.port());
+  ASSERT_GE(c, 0);
+  EXPECT_TRUE(WaitFor([&] { return episodes() == 2; }));
+  for (int fd : dummies) ::close(fd);
+  ::close(c);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &original), 0);
+  EXPECT_EQ(episodes(), 2u);
+  server.Stop();
+}
+
 INSTANTIATE_TEST_SUITE_P(Shells, ServerConformanceTest,
                          ::testing::Values(Shell::kThreads, Shell::kEpoll),
                          ShellName);
+
+// The episode rule on a simulated clock, without sockets in the outage.
+TEST(AcceptGateTest, QuietPeriodOfHealthyAcceptsEndsAnEpisode) {
+  SimClock clock(kMicrosPerSecond);
+  ServerLimits limits;
+  IngressCounters counters;
+  std::atomic<int64_t> live{0};
+  AcceptGate gate({&limits, &counters, &live, "test", &clock});
+  auto admit = [&] {
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    ASSERT_TRUE(gate.Admit(fds[0], nullptr));
+    gate.OnConnectionClosed(nullptr);
+    ::close(fds[0]);
+    ::close(fds[1]);
+  };
+  auto episodes = [&] {
+    return counters.accept_fd_exhaustion_episodes.load();
+  };
+
+  EXPECT_EQ(gate.OnAcceptFailure(EMFILE), AcceptGate::FailureAction::kBackoff);
+  EXPECT_EQ(gate.OnAcceptFailure(EMFILE), AcceptGate::FailureAction::kBackoff);
+  EXPECT_EQ(episodes(), 1u);
+  // Flap: one accept succeeds, the next fails soon after.
+  admit();
+  clock.AdvanceMicros(AcceptGate::kFdExhaustionQuietMicros / 2);
+  gate.OnAcceptFailure(EMFILE);
+  EXPECT_EQ(episodes(), 1u);
+  // Healthy accepts across the quiet period end the episode.
+  admit();
+  clock.AdvanceMicros(AcceptGate::kFdExhaustionQuietMicros);
+  admit();
+  gate.OnAcceptFailure(ENFILE);
+  EXPECT_EQ(episodes(), 2u);
+  // An idle quiet period after one healthy accept ends it as well.
+  admit();
+  clock.AdvanceMicros(AcceptGate::kFdExhaustionQuietMicros);
+  gate.OnAcceptFailure(EMFILE);
+  EXPECT_EQ(episodes(), 3u);
+  EXPECT_EQ(live.load(), 0);
+}
 
 }  // namespace
 }  // namespace dynaprox::net

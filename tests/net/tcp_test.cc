@@ -183,6 +183,7 @@ TEST(TcpTest, FdExhaustionIsCountedPerEpisode) {
     // accept wakes with nothing left and fails with EMFILE.
     ::close(dummies.back());
     dummies.pop_back();
+    uint64_t episodes = 0;
     {
       TcpClientOptions options;
       options.io_timeout_micros = 300 * kMicrosPerMilli;
@@ -192,12 +193,15 @@ TEST(TcpTest, FdExhaustionIsCountedPerEpisode) {
       // time for the accept retry) succeed; only the episode bookkeeping
       // below is deterministic.
       (void)starved.RoundTrip(request);
-    }
-    uint64_t episodes =
-        server.ingress().accept_fd_exhaustion_episodes.load();
-    for (int i = 0; i < 200 && episodes < episode; ++i) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      // Wait with the starved connection still open. A blocking accept
+      // reserves its fd before it sleeps, so the starved client may be
+      // served on that fd; only the next accept, made while this
+      // connection holds it, is sure to fail with EMFILE.
       episodes = server.ingress().accept_fd_exhaustion_episodes.load();
+      for (int i = 0; i < 200 && episodes < episode; ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        episodes = server.ingress().accept_fd_exhaustion_episodes.load();
+      }
     }
     // Logged and counted exactly once per sustained outage, not once per
     // 10ms accept round.
