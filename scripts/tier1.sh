@@ -36,9 +36,10 @@ ctest --test-dir build-asan --output-on-failure \
 # common_test carries the thread-pool suite, bem_test the striped
 # directory/free-list/monitor hammers (plus the push scheduler), and
 # appserver_test the parallel block-execution equivalence suite (pool
-# sizes 0/1/4) — together with the multi-worker servers in net_test/
-# integration_test and the edge-cluster peer channel in edge_test these
-# are the concurrency surfaces of the block-execution and edge-tier work.
+# sizes 0/1/4) — together with the thread-per-connection server and the
+# connection pool in net_test/integration_test and the edge-cluster peer
+# channel in edge_test these are the concurrency surfaces of the
+# block-execution, ingress and edge-tier work.
 echo "== tier1: TSan (common/bem/appserver/net/edge/integration) =="
 cmake -B build-tsan -S . -DDYNAPROX_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j"$JOBS" --target \
@@ -49,10 +50,10 @@ ctest --test-dir build-tsan --output-on-failure \
 # Deterministic chaos smoke: the seeded storm arms fault points across
 # every in-process layer and checks the four chaos invariants
 # (byte-identity, clean failures, conservation, recovery), then storms a
-# real 3-worker epoll ingress over loopback with net.accept armed. Fixed
-# seed, so a failure here reproduces exactly with the same command.
+# real TcpServer ingress over loopback with net.accept armed. Fixed seed,
+# so a failure here reproduces exactly with the same command.
 echo "== tier1: chaos smoke (fixed seed, ASan) =="
 cmake --build build-asan -j"$JOBS" --target dynaprox_chaos
-./build-asan/tools/dynaprox_chaos --seed=42 --requests=600 --workers=3
+./build-asan/tools/dynaprox_chaos --seed=42 --requests=600
 
 echo "== tier1: all green =="

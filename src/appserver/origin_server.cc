@@ -205,12 +205,6 @@ void OriginServer::RegisterMetrics() {
     net::RegisterIngressMetrics(registry_mx_, "dynaprox_origin_",
                                 options_.ingress);
   }
-  if (options_.worker_ingress != nullptr &&
-      options_.worker_ingress_count > 0) {
-    net::RegisterWorkerIngressMetrics(registry_mx_, "dynaprox_origin_",
-                                      options_.worker_ingress,
-                                      options_.worker_ingress_count);
-  }
 }
 
 net::Handler OriginServer::AsHandler() {
@@ -369,11 +363,6 @@ http::Response OriginServer::RenderStatus() const {
   }
   if (options_.ingress != nullptr) {
     net::WriteIngressStatusBlock(json, *options_.ingress);
-  }
-  if (options_.worker_ingress != nullptr &&
-      options_.worker_ingress_count > 0) {
-    net::WriteWorkerIngressStatusBlock(json, options_.worker_ingress,
-                                       options_.worker_ingress_count);
   }
   json.EndObject();
   return http::Response::MakeOk(json.TakeString(), "application/json");

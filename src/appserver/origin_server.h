@@ -46,14 +46,6 @@ struct OriginOptions {
   // ingress gauges/violation counters in the status document and metric
   // exposition. Not owned; may be null; must outlive the server when set.
   const net::IngressCounters* ingress = nullptr;
-  // Per-worker ingress mirrors of a multi-worker server (EpollServer with
-  // workers > 1): exposes the labeled
-  // dynaprox_origin_ingress_worker_*{worker=N} series and the status
-  // document's "workers" array. The slots sum to the `ingress` totals by
-  // construction. Not owned; may be null; must outlive the server when
-  // set.
-  const net::IngressCounters* worker_ingress = nullptr;
-  int worker_ingress_count = 0;
   // Block-execution pool: > 0 runs independent cacheable-block miss
   // generators of one page concurrently on this many workers (requires a
   // BEM; ignored in baseline mode). 0 keeps the sequential path.

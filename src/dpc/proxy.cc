@@ -469,12 +469,6 @@ void DpcProxy::RegisterMetrics() {
   if (options_.ingress != nullptr) {
     net::RegisterIngressMetrics(registry_, "dynaprox_", options_.ingress);
   }
-  if (options_.worker_ingress != nullptr &&
-      options_.worker_ingress_count > 0) {
-    net::RegisterWorkerIngressMetrics(registry_, "dynaprox_",
-                                      options_.worker_ingress,
-                                      options_.worker_ingress_count);
-  }
 
   if (stale_cache_ != nullptr) {
     StalePageCache* stale = stale_cache_.get();
@@ -852,22 +846,15 @@ http::Response DpcProxy::RenderStatus() const {
     json.Key("waiter_rejections").Uint(pool.waiter_rejections);
     json.Key("connect_failures").Uint(pool.connect_failures);
     json.Key("wait_micros").BeginObject();
-    json.Key("count").Uint(pool.wait_micros.count());
-    json.Key("p50").Double(pool.wait_micros.Percentile(0.5));
-    json.Key("p99").Double(pool.wait_micros.Percentile(0.99));
-    json.Key("max").Double(pool.wait_micros.count() == 0
-                               ? 0.0
-                               : pool.wait_micros.max());
+    json.Key("count").Uint(pool.wait_micros.count);
+    json.Key("p50").Double(pool.wait_micros.p50);
+    json.Key("p99").Double(pool.wait_micros.p99);
+    json.Key("max").Double(pool.wait_micros.max);
     json.EndObject();
     json.EndObject();
   }
   if (options_.ingress != nullptr) {
     net::WriteIngressStatusBlock(json, *options_.ingress);
-  }
-  if (options_.worker_ingress != nullptr &&
-      options_.worker_ingress_count > 0) {
-    net::WriteWorkerIngressStatusBlock(json, options_.worker_ingress,
-                                       options_.worker_ingress_count);
   }
   if (static_cache_ != nullptr) {
     StaticCacheStats static_stats = static_cache_->stats();

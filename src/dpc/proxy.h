@@ -116,13 +116,6 @@ struct ProxyOptions {
   // ingress gauges/violation counters in the status document and metric
   // exposition. Not owned; may be null; must outlive the proxy when set.
   const net::IngressCounters* ingress = nullptr;
-  // Per-worker ingress mirrors of a multi-worker server (EpollServer with
-  // workers > 1): exposes the labeled dynaprox_ingress_worker_*{worker=N}
-  // series and the status document's "workers" array. The slots sum to
-  // the `ingress` totals by construction. Not owned; may be null; must
-  // outlive the proxy when set.
-  const net::IngressCounters* worker_ingress = nullptr;
-  int worker_ingress_count = 0;
   // Standard intermediary behaviour: strip hop-by-hop request headers
   // before forwarding and append Via on both legs. Off by default so the
   // byte-accounting experiments measure exactly the modeled payloads.

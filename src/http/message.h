@@ -58,10 +58,10 @@ class BodyStream {
 //
 // A third, streaming representation exists for servers only: when
 // `body_stream` is non-null, `body`/`body_chain` are empty and the body
-// arrives by pulling the stream. net::TcpServer and net::EpollServer send
-// such responses with chunked framing as chunks resolve; the serializers
-// and accessors below ignore the stream (they cover the buffered
-// representations), so in-process consumers must drain it themselves.
+// arrives by pulling the stream. net::TcpServer sends such responses
+// with chunked framing as chunks resolve; the serializers and accessors
+// below ignore the stream (they cover the buffered representations), so
+// in-process consumers must drain it themselves.
 struct Response {
   int status_code = 200;
   std::string reason = "OK";

@@ -19,16 +19,9 @@ namespace {
 
 constexpr auto kRelaxed = std::memory_order_relaxed;
 
-// Unsent bytes queued while pumping a stream beyond which the pump
-// pauses until the socket drains the backlog: a client reading slowly
-// must not make the server buffer the whole streamed page after all.
-// Non-blocking mode only — a blocking shell flushes fully between pulls.
-constexpr size_t kStreamHighWater = 256 * 1024;
-
 }  // namespace
 
-ConnectionCore::ConnectionCore(Mode mode, const Env& env)
-    : mode_(mode), env_(env) {
+ConnectionCore::ConnectionCore(const Env& env) : env_(env) {
   reader_.set_limits(
       {env_.limits->max_header_bytes, env_.limits->max_body_bytes});
   // The idle deadline measures from accept until the first byte arrives,
@@ -38,7 +31,6 @@ ConnectionCore::ConnectionCore(Mode mode, const Env& env)
 
 void ConnectionCore::Bump(std::atomic<uint64_t> IngressCounters::*field) {
   (env_.counters->*field).fetch_add(1, kRelaxed);
-  if (env_.worker != nullptr) (env_.worker->*field).fetch_add(1, kRelaxed);
 }
 
 void ConnectionCore::OnBytes(std::string_view data, MicroTime now) {
@@ -56,21 +48,13 @@ void ConnectionCore::OnPeerEof() { peer_eof_ = true; }
 ConnectionCore::ServiceResult ConnectionCore::Service(int fd) {
   const MicroTime now = SystemClock::Default()->NowMicros();
   for (;;) {
-    if (stream_ == nullptr) DispatchBuffered(now);
-    if (stream_ != nullptr) {
-      FlushResult r = PumpStream(fd);
-      if (r == FlushResult::kError) return ServiceResult::kClose;
-      if (stream_ != nullptr || r == FlushResult::kBlocked) {
-        // Paused on backpressure; write readiness resumes the pump.
-        return ServiceResult::kBlocked;
-      }
-      continue;  // Stream done; pipelined requests may be parked behind.
-    }
-    FlushResult r = Flush(fd);
-    if (r == FlushResult::kError) return ServiceResult::kClose;
-    if (r == FlushResult::kBlocked) return ServiceResult::kBlocked;
-    return close_after_flush_ ? ServiceResult::kClose : ServiceResult::kIdle;
+    DispatchBuffered(now);
+    if (stream_ == nullptr) break;
+    // Pipelined requests may be parked behind the stream.
+    if (!PumpStream(fd)) return ServiceResult::kClose;
   }
+  if (!Flush(fd)) return ServiceResult::kClose;
+  return close_after_flush_ ? ServiceResult::kClose : ServiceResult::kIdle;
 }
 
 void ConnectionCore::DispatchBuffered(MicroTime now) {
@@ -83,17 +67,16 @@ void ConnectionCore::DispatchBuffered(MicroTime now) {
     auto next = reader_.Next();
     if (!next.has_value()) break;
     if (!next->ok()) {
-      http::Response bad =
-          ResponseForReaderError(reader_.limit_violation(), next->status(),
-                                 *env_.counters, env_.worker);
+      http::Response bad = ResponseForReaderError(
+          reader_.limit_violation(), next->status(), *env_.counters);
       out_.Append(bad.SerializeToChain());
       close_after_flush_ = true;
       break;
     }
     const http::Request& request = next->value();
     completed_request = true;
-    http::Response response = DispatchAdmitted(
-        *env_.handler, request, *env_.limits, *env_.counters, env_.worker);
+    http::Response response =
+        DispatchAdmitted(*env_.handler, request, *env_.limits, *env_.counters);
     // Read the drain flag *after* the handler: a drain that began while
     // the handler ran still closes this connection with its response.
     if (env_.draining != nullptr &&
@@ -135,7 +118,7 @@ void ConnectionCore::DispatchBuffered(MicroTime now) {
   }
 }
 
-ConnectionCore::FlushResult ConnectionCore::Flush(int fd) {
+bool ConnectionCore::Flush(int fd) {
   constexpr size_t kMaxIovecs = 64;  // Under any sane IOV_MAX.
   struct iovec iov[kMaxIovecs];
   while (out_offset_ < out_.size()) {
@@ -146,53 +129,39 @@ ConnectionCore::FlushResult ConnectionCore::Flush(int fd) {
     ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n > 0) {
       out_offset_ += static_cast<size_t>(n);
-      write_start_ = 0;  // Progress: restart the stall clock.
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      if (mode_ == Mode::kBlocking) {
-        // Blocking shells bound each send with SO_SNDTIMEO; EAGAIN here
-        // means the write-stall budget elapsed with no progress.
-        Bump(&IngressCounters::write_stall_closes);
-        return FlushResult::kError;
-      }
-      if (write_start_ == 0) {
-        write_start_ = SystemClock::Default()->NowMicros();
-      }
-      return FlushResult::kBlocked;
+      // SO_SNDTIMEO bounds each send; EAGAIN here means the write-stall
+      // budget elapsed with no progress.
+      Bump(&IngressCounters::write_stall_closes);
     }
-    return FlushResult::kError;
+    return false;
   }
   // Fully flushed: drop the slices (and their buffer references).
   out_.Clear();
   out_offset_ = 0;
-  write_start_ = 0;
-  return FlushResult::kFlushed;
+  return true;
 }
 
-ConnectionCore::FlushResult ConnectionCore::PumpStream(int fd) {
-  for (;;) {
-    FlushResult r = Flush(fd);
-    if (r == FlushResult::kError) return r;
-    if (stream_ == nullptr) return r;  // Final frame queued/flushed.
-    if (r == FlushResult::kBlocked &&
-        out_.size() - out_offset_ >= kStreamHighWater) {
-      return FlushResult::kBlocked;  // Backpressure pauses the pull.
-    }
+bool ConnectionCore::PumpStream(int fd) {
+  while (stream_ != nullptr) {
+    if (!Flush(fd)) return false;
     Result<common::BufferChain> chunk = stream_->Next();
     if (!chunk.ok()) {
       // Mid-body failure: abort so the client sees a truncated chunked
       // body, never a complete-looking response.
-      return FlushResult::kError;
+      return false;
     }
     if (chunk->empty()) {
       http::AppendFinalChunkFrame(out_);
       stream_.reset();
-      continue;  // Flush the final frame.
+    } else {
+      http::AppendChunkFrame(out_, std::move(*chunk));
     }
-    http::AppendChunkFrame(out_, std::move(*chunk));
   }
+  return Flush(fd);
 }
 
 ConnectionCore::Doom ConnectionCore::CheckDeadlines(MicroTime now) {
@@ -204,15 +173,9 @@ ConnectionCore::Doom ConnectionCore::CheckDeadlines(MicroTime now) {
     return Doom::kHeaderTimeout;
   }
   if (read_start_ == 0 && limits.idle_timeout_micros > 0 &&
-      !HasPendingOutput() && stream_ == nullptr &&
       now - last_activity_ >= limits.idle_timeout_micros) {
     Bump(&IngressCounters::idle_timeouts);
     return Doom::kIdleTimeout;
-  }
-  if (write_start_ != 0 && limits.write_stall_micros > 0 &&
-      now - write_start_ >= limits.write_stall_micros) {
-    Bump(&IngressCounters::write_stall_closes);
-    return Doom::kWriteStall;
   }
   return Doom::kNone;
 }
@@ -226,11 +189,6 @@ AcceptGate::FailureAction AcceptGate::OnAcceptFailure(int err) {
     case EINTR:
     case ECONNABORTED:  // Peer gave up; next one.
       return FailureAction::kRetry;
-    case EAGAIN:
-#if EAGAIN != EWOULDBLOCK
-    case EWOULDBLOCK:
-#endif
-      return FailureAction::kNoneReady;
     case EMFILE:
     case ENFILE:
       // Fd exhaustion is an episode, not a fatal listener error: keep
@@ -254,7 +212,7 @@ AcceptGate::FailureAction AcceptGate::OnAcceptFailure(int err) {
   }
 }
 
-bool AcceptGate::Admit(int fd, IngressCounters* worker) {
+bool AcceptGate::Admit(int fd) {
   // Accept works again: re-arm per-episode exhaustion reporting once it
   // has kept working for the quiet period. The load screens out the
   // common case so the hot path stays write-free; the exchange makes sure
@@ -283,9 +241,6 @@ bool AcceptGate::Admit(int fd, IngressCounters* worker) {
   if (env_.limits->max_connections > 0 &&
       env_.live->load(kRelaxed) >= env_.limits->max_connections) {
     env_.counters->connection_limit_rejections.fetch_add(1, kRelaxed);
-    if (worker != nullptr) {
-      worker->connection_limit_rejections.fetch_add(1, kRelaxed);
-    }
     ::close(fd);
     return false;
   }
@@ -293,17 +248,12 @@ bool AcceptGate::Admit(int fd, IngressCounters* worker) {
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   env_.counters->accepted_total.fetch_add(1, kRelaxed);
   env_.counters->open_connections.fetch_add(1, kRelaxed);
-  if (worker != nullptr) {
-    worker->accepted_total.fetch_add(1, kRelaxed);
-    worker->open_connections.fetch_add(1, kRelaxed);
-  }
   env_.live->fetch_add(1, kRelaxed);
   return true;
 }
 
-void AcceptGate::OnConnectionClosed(IngressCounters* worker) {
+void AcceptGate::OnConnectionClosed() {
   env_.counters->open_connections.fetch_sub(1, kRelaxed);
-  if (worker != nullptr) worker->open_connections.fetch_sub(1, kRelaxed);
   env_.live->fetch_sub(1, kRelaxed);
 }
 

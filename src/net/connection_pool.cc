@@ -3,6 +3,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <thread>
@@ -27,6 +28,38 @@ bool IsConnectionLive(int fd) {
 }
 
 }  // namespace
+
+const std::vector<double>& PoolWaitTimes::BoundsMicros() {
+  static const std::vector<double> kBounds = [] {
+    std::vector<double> bounds;
+    for (double decade = 1; decade <= 1e6; decade *= 10) {
+      for (double step : {1.0, 2.0, 5.0}) bounds.push_back(decade * step);
+    }
+    bounds.push_back(1e7);  // 10 s, past any sane checkout deadline.
+    return bounds;
+  }();
+  return kBounds;
+}
+
+void PoolWaitTimes::Record(MicroTime wait_micros) {
+  histogram_.Observe(static_cast<double>(wait_micros));
+  MicroTime seen = max_.load(std::memory_order_relaxed);
+  while (wait_micros > seen &&
+         !max_.compare_exchange_weak(seen, wait_micros,
+                                     std::memory_order_relaxed)) {
+  }
+}
+
+PoolWaitSummary PoolWaitTimes::Summary() const {
+  metrics::LatencyHistogram::Snapshot snap = histogram_.snapshot();
+  PoolWaitSummary summary;
+  summary.count = snap.count;
+  summary.max = static_cast<double>(max_.load(std::memory_order_relaxed));
+  // Interpolation can overshoot the largest wait inside its bucket.
+  summary.p50 = std::min(snap.Percentile(0.5), summary.max);
+  summary.p99 = std::min(snap.Percentile(0.99), summary.max);
+  return summary;
+}
 
 ConnectionPool::ConnectionPool(std::string host, uint16_t port,
                                ConnectionPoolOptions options)
@@ -103,8 +136,7 @@ Result<ConnectionPool::Connection> ConnectionPool::Checkout() {
     if (queued) --waiters_;
     ++counters_.checkouts;
     if (waited) {
-      counters_.wait_micros.Record(
-          static_cast<double>(clock_->NowMicros() - wait_start));
+      waits_.Record(clock_->NowMicros() - wait_start);
     }
     return conn;
   };
@@ -152,8 +184,7 @@ Result<ConnectionPool::Connection> ConnectionPool::Checkout() {
     if (available_.wait_until(lock, deadline) == std::cv_status::timeout) {
       --waiters_;
       ++counters_.waiter_timeouts;
-      counters_.wait_micros.Record(
-          static_cast<double>(clock_->NowMicros() - wait_start));
+      waits_.Record(clock_->NowMicros() - wait_start);
       return Status::IoError("timed out waiting for an upstream connection");
     }
   }
@@ -177,11 +208,16 @@ void ConnectionPool::Checkin(Connection conn, bool reusable) {
 }
 
 PoolStats ConnectionPool::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  PoolStats snapshot = counters_;
-  snapshot.open_connections = open_;
-  snapshot.idle_connections = static_cast<int>(idle_.size());
-  snapshot.wait_queue_depth = waiters_;
+  PoolStats snapshot;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    snapshot = counters_;
+    snapshot.open_connections = open_;
+    snapshot.idle_connections = static_cast<int>(idle_.size());
+    snapshot.wait_queue_depth = waiters_;
+  }
+  // Lock-free: summarizing the waits never stalls a checkout.
+  snapshot.wait_micros = waits_.Summary();
   return snapshot;
 }
 

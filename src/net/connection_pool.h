@@ -1,6 +1,7 @@
 #ifndef DYNAPROX_NET_CONNECTION_POOL_H_
 #define DYNAPROX_NET_CONNECTION_POOL_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -8,7 +9,7 @@
 #include <vector>
 
 #include "common/clock.h"
-#include "common/histogram.h"
+#include "common/metrics.h"
 #include "common/result.h"
 #include "net/retry.h"
 #include "net/transport.h"
@@ -40,6 +41,34 @@ struct ConnectionPoolOptions {
   const Clock* clock = nullptr;
 };
 
+// Wait time of the checkouts that blocked, in microseconds.
+struct PoolWaitSummary {
+  uint64_t count = 0;  // Exact.
+  // Interpolated inside the fixed bucket that holds the rank, so each is
+  // off by at most one bucket (PoolWaitTimes::BoundsMicros()).
+  double p50 = 0;
+  double p99 = 0;
+  double max = 0;  // Exact; 0 while count is 0.
+};
+
+// Records blocked-checkout waits in fixed buckets plus an exact maximum:
+// memory and Summary() cost stay the same however many checkouts block.
+// Thread-safe (relaxed atomics, no lock).
+class PoolWaitTimes {
+ public:
+  // Bucket upper bounds: a 1-2-5 series from 1 µs to 10 s.
+  static const std::vector<double>& BoundsMicros();
+
+  PoolWaitTimes() : histogram_(BoundsMicros()) {}
+
+  void Record(MicroTime wait_micros);
+  PoolWaitSummary Summary() const;
+
+ private:
+  metrics::LatencyHistogram histogram_;
+  std::atomic<MicroTime> max_{0};
+};
+
 // Pool behaviour counters plus point-in-time gauges (filled at stats()).
 struct PoolStats {
   int open_connections = 0;  // Checked out + idle (gauge).
@@ -53,7 +82,7 @@ struct PoolStats {
   uint64_t waiter_timeouts = 0;    // Checkouts that gave up waiting.
   uint64_t waiter_rejections = 0;  // Rejected by the waiter bound.
   uint64_t connect_failures = 0;   // Dials that exhausted their retries.
-  Histogram wait_micros;  // Wait duration of checkouts that blocked.
+  PoolWaitSummary wait_micros;    // Checkouts that blocked.
 };
 
 // Keep-alive connection pool to one upstream host:port. Checkout() hands
@@ -116,7 +145,8 @@ class ConnectionPool {
   std::vector<IdleConn> idle_;
   int open_ = 0;     // Checked out + idle + mid-dial slots.
   int waiters_ = 0;  // Checkouts blocked in the wait queue.
-  PoolStats counters_;  // Gauge fields unused here; see stats().
+  PoolStats counters_;  // Gauge and wait fields unused here; see stats().
+  PoolWaitTimes waits_;
 };
 
 struct PooledTransportOptions {

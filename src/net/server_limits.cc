@@ -20,20 +20,14 @@ http::Response MakeShedResponse(int64_t retry_after_seconds) {
 
 http::Response ResponseForReaderError(
     http::RequestReader::LimitViolation violation, const Status& error,
-    IngressCounters& counters, IngressCounters* worker) {
-  auto bump = [&](std::atomic<uint64_t> IngressCounters::*field) {
-    (counters.*field).fetch_add(1, std::memory_order_relaxed);
-    if (worker != nullptr) {
-      (worker->*field).fetch_add(1, std::memory_order_relaxed);
-    }
-  };
+    IngressCounters& counters) {
   switch (violation) {
     case http::RequestReader::LimitViolation::kHeaderBytes:
-      bump(&IngressCounters::oversize_headers);
+      counters.oversize_headers.fetch_add(1, std::memory_order_relaxed);
       return http::Response::MakeError(431, "Request Header Fields Too Large",
                                        error.ToString());
     case http::RequestReader::LimitViolation::kBodyBytes:
-      bump(&IngressCounters::oversize_bodies);
+      counters.oversize_bodies.fetch_add(1, std::memory_order_relaxed);
       return http::Response::MakeError(413, "Content Too Large",
                                        error.ToString());
     case http::RequestReader::LimitViolation::kNone:
@@ -45,30 +39,19 @@ http::Response ResponseForReaderError(
 http::Response DispatchAdmitted(const Handler& handler,
                                 const http::Request& request,
                                 const ServerLimits& limits,
-                                IngressCounters& counters,
-                                IngressCounters* worker) {
-  // The admission decision reads the *shared* gauge: max_inflight is a
-  // global cap across every worker of the server (and every server
-  // sharing the counters), not a per-worker budget.
+                                IngressCounters& counters) {
+  // The admission decision reads the gauge itself, so every server
+  // sharing the counters shares one max_inflight budget.
   int64_t inflight =
       counters.inflight_requests.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (worker != nullptr) {
-    worker->inflight_requests.fetch_add(1, std::memory_order_relaxed);
-  }
   http::Response response;
   if (limits.max_inflight > 0 && inflight > limits.max_inflight) {
     counters.shed_503s.fetch_add(1, std::memory_order_relaxed);
-    if (worker != nullptr) {
-      worker->shed_503s.fetch_add(1, std::memory_order_relaxed);
-    }
     response = MakeShedResponse(limits.retry_after_seconds);
   } else {
     response = handler(request);
   }
   counters.inflight_requests.fetch_sub(1, std::memory_order_relaxed);
-  if (worker != nullptr) {
-    worker->inflight_requests.fetch_sub(1, std::memory_order_relaxed);
-  }
   return response;
 }
 
@@ -122,14 +105,12 @@ void RegisterIngressMetrics(metrics::Registry& registry,
           &counters->accept_fd_exhaustion_episodes);
 }
 
-namespace {
-
-// The ingress field set as one object body, shared by the top-level
-// "ingress" block and each element of the "workers" array.
-void WriteIngressFields(JsonWriter& json, const IngressCounters& counters) {
+void WriteIngressStatusBlock(JsonWriter& json,
+                             const IngressCounters& counters) {
   auto load64 = [](const std::atomic<uint64_t>& v) {
     return v.load(std::memory_order_relaxed);
   };
+  json.Key("ingress").BeginObject();
   json.Key("open_connections")
       .Int(counters.open_connections.load(std::memory_order_relaxed));
   json.Key("inflight_requests")
@@ -147,91 +128,7 @@ void WriteIngressFields(JsonWriter& json, const IngressCounters& counters) {
       .Uint(load64(counters.drained_connections));
   json.Key("accept_fd_exhaustion_episodes")
       .Uint(load64(counters.accept_fd_exhaustion_episodes));
-}
-
-}  // namespace
-
-void WriteIngressStatusBlock(JsonWriter& json,
-                             const IngressCounters& counters) {
-  json.Key("ingress").BeginObject();
-  WriteIngressFields(json, counters);
   json.EndObject();
-}
-
-void RegisterWorkerIngressMetrics(metrics::Registry& registry,
-                                  const std::string& prefix,
-                                  const IngressCounters* workers,
-                                  int count) {
-  const size_t n = count < 0 ? 0 : static_cast<size_t>(count);
-  auto gauge = [&](const char* name, const char* help,
-                   std::atomic<int64_t> IngressCounters::*field) {
-    registry.RegisterCallbackGaugeVec(
-        prefix + "ingress_worker_" + name, help, "worker", n,
-        [workers, field](size_t i) {
-          return static_cast<double>(
-              (workers[i].*field).load(std::memory_order_relaxed));
-        });
-  };
-  auto counter = [&](const char* name, const char* help,
-                     std::atomic<uint64_t> IngressCounters::*field) {
-    registry.RegisterCallbackCounterVec(
-        prefix + "ingress_worker_" + name, help, "worker",
-        [workers, field, n] {
-          std::vector<std::pair<std::string, uint64_t>> samples;
-          samples.reserve(n);
-          for (size_t i = 0; i < n; ++i) {
-            samples.emplace_back(
-                std::to_string(i),
-                (workers[i].*field).load(std::memory_order_relaxed));
-          }
-          return samples;
-        });
-  };
-  gauge("open_connections",
-        "Client connections currently open, by accepting worker.",
-        &IngressCounters::open_connections);
-  gauge("inflight_requests",
-        "Requests currently inside handlers, by serving worker.",
-        &IngressCounters::inflight_requests);
-  counter("accepted_total", "Client connections admitted, by worker.",
-          &IngressCounters::accepted_total);
-  counter("connection_limit_rejections_total",
-          "Connections closed at accept by the connection cap, by worker.",
-          &IngressCounters::connection_limit_rejections);
-  counter("shed_503_total",
-          "Requests shed with 503 + Retry-After, by serving worker.",
-          &IngressCounters::shed_503s);
-  counter("header_timeouts_total",
-          "Header-deadline (slowloris) disconnects, by worker.",
-          &IngressCounters::header_timeouts);
-  counter("idle_timeouts_total",
-          "Keep-alive idle reaps, by worker.",
-          &IngressCounters::idle_timeouts);
-  counter("write_stall_closes_total",
-          "Write-stall disconnects, by worker.",
-          &IngressCounters::write_stall_closes);
-  counter("oversize_headers_total",
-          "431 rejections by the header byte cap, by worker.",
-          &IngressCounters::oversize_headers);
-  counter("oversize_bodies_total",
-          "413 rejections by the body byte cap, by worker.",
-          &IngressCounters::oversize_bodies);
-  counter("drained_connections_total",
-          "Connections completed during graceful drain, by worker.",
-          &IngressCounters::drained_connections);
-}
-
-void WriteWorkerIngressStatusBlock(JsonWriter& json,
-                                   const IngressCounters* workers,
-                                   int count) {
-  json.Key("workers").BeginArray();
-  for (int i = 0; i < count; ++i) {
-    json.BeginObject();
-    json.Key("worker").Int(i);
-    WriteIngressFields(json, workers[i]);
-    json.EndObject();
-  }
-  json.EndArray();
 }
 
 }  // namespace dynaprox::net

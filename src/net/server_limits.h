@@ -18,8 +18,7 @@ class JsonWriter;
 
 namespace dynaprox::net {
 
-// Ingress accounting shared by TcpServer and EpollServer: connection and
-// in-flight gauges plus one counter per limit-violation reason. All fields
+// TcpServer's ingress accounting: connection and in-flight gauges plus one counter per limit-violation reason. All fields
 // are relaxed atomics — servers bump them on the serving path with no
 // lock, the same pattern as the DPC's serving counters. The struct is
 // caller-ownable (see ServerLimits::counters) so a tool can create it
@@ -40,13 +39,12 @@ struct IngressCounters {
   std::atomic<uint64_t> drained_connections{0};  // Finished during drain.
   // Accept hit EMFILE/ENFILE. Counts *episodes* (entries into the
   // exhausted state), not failed accept() calls: during one sustained
-  // exhaustion the servers log once and count once, and both re-arm when
-  // an accept succeeds again.
+  // exhaustion the server logs once and counts once, and re-arms once
+  // accepts have succeeded again for a quiet period (AcceptGate).
   std::atomic<uint64_t> accept_fd_exhaustion_episodes{0};
 };
 
-// Ingress-protection configuration shared by both server implementations.
-// Every limit defaults to 0 = off, so a default-constructed server
+// TcpServer's ingress-protection configuration. Every limit defaults to 0 = off, so a default-constructed server
 // behaves exactly as before the limits existed.
 struct ServerLimits {
   // Concurrent client connections admitted; excess accepts are closed
@@ -71,18 +69,9 @@ struct ServerLimits {
   // Retry-After value on shed 503 responses.
   int64_t retry_after_seconds = 1;
   // Where to account admissions/violations. Not owned; may be null (the
-  // server then uses an internal instance, see TcpServer/EpollServer
-  // ::ingress()). Must outlive the server when set.
+  // server then uses an internal instance, see TcpServer::ingress()).
+  // Must outlive the server when set.
   IngressCounters* counters = nullptr;
-  // Optional per-worker mirrors for a multi-worker server: an array of
-  // `worker_counter_count` slots, worker i mirroring every bump it makes
-  // on `counters` into slot i. Lets a tool allocate the slots before the
-  // server exists (metric registration happens at proxy/origin
-  // construction) and makes the labeled {worker=...} series sum to the
-  // shared totals by construction. Not owned; must outlive the server.
-  // EpollServer uses its own slots when unset (see worker_ingress()).
-  IngressCounters* worker_counters = nullptr;
-  int worker_counter_count = 0;
 };
 
 // The one way dynaprox says "try again later": a 503 whose body carries
@@ -99,22 +88,19 @@ http::Response MakeShedResponse(int64_t retry_after_seconds);
 
 // Maps a failed RequestReader to the response that closes the
 // conversation: 431 for a header-cap violation, 413 for a body-cap
-// violation, 400 otherwise — and bumps the matching counter (mirrored
-// into `worker` when set).
+// violation, 400 otherwise — and bumps the matching counter.
 http::Response ResponseForReaderError(
     http::RequestReader::LimitViolation violation, const Status& error,
-    IngressCounters& counters, IngressCounters* worker = nullptr);
+    IngressCounters& counters);
 
 // Runs `handler` under the in-flight admission gate: over
 // `limits.max_inflight` concurrent requests, the handler is skipped and a
-// shed 503 returned instead. Maintains the inflight_requests gauge; the
-// admission decision always reads the shared gauge (the cap is global
-// across workers), with `worker` mirroring the bumps when set.
+// shed 503 returned instead. Maintains the inflight_requests gauge, which
+// is also what the admission decision reads.
 http::Response DispatchAdmitted(const Handler& handler,
                                 const http::Request& request,
                                 const ServerLimits& limits,
-                                IngressCounters& counters,
-                                IngressCounters* worker = nullptr);
+                                IngressCounters& counters);
 
 // Registers the ingress gauges/counters as callback metrics under
 // "<prefix>ingress_*" (prefix "dynaprox_" on the DPC, "dynaprox_origin_"
@@ -127,21 +113,6 @@ void RegisterIngressMetrics(metrics::Registry& registry,
 // counters); the caller owns the enclosing object.
 void WriteIngressStatusBlock(JsonWriter& json,
                              const IngressCounters& counters);
-
-// Registers per-worker mirrors (see ServerLimits::worker_counters) as
-// labeled series "<prefix>ingress_worker_*{worker=\"i\"}" — one series
-// per slot under each family, sampled at scrape time. The slot values
-// sum to the unlabeled "<prefix>ingress_*" totals. `workers` is an array
-// of `count` slots; not owned.
-void RegisterWorkerIngressMetrics(metrics::Registry& registry,
-                                  const std::string& prefix,
-                                  const IngressCounters* workers, int count);
-
-// Writes the "workers" status-document array: one ingress object per
-// worker slot, in worker order; the caller owns the enclosing object.
-void WriteWorkerIngressStatusBlock(JsonWriter& json,
-                                   const IngressCounters* workers,
-                                   int count);
 
 }  // namespace dynaprox::net
 

@@ -82,9 +82,8 @@ Result<int> DialTcp(const std::string& host, uint16_t port,
   return fd;
 }
 
-Result<int> OpenLoopbackListener(uint16_t* port, ListenerOptions options) {
-  const int type = SOCK_STREAM | (options.nonblocking ? SOCK_NONBLOCK : 0);
-  int fd = ::socket(AF_INET, type, 0);
+Result<int> OpenLoopbackListener(uint16_t* port) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return ErrnoStatus("socket");
   auto fail = [fd](const char* what) {
     Status status = ErrnoStatus(what);
@@ -93,10 +92,6 @@ Result<int> OpenLoopbackListener(uint16_t* port, ListenerOptions options) {
   };
   int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  if (options.reuseport &&
-      ::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) < 0) {
-    return fail("setsockopt(SO_REUSEPORT)");
-  }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
@@ -104,30 +99,13 @@ Result<int> OpenLoopbackListener(uint16_t* port, ListenerOptions options) {
   if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
     return fail("bind");
   }
-  if (::listen(fd, options.backlog) < 0) return fail("listen");
+  if (::listen(fd, /*backlog=*/64) < 0) return fail("listen");
   socklen_t len = sizeof(addr);
   if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) < 0) {
     return fail("getsockname");
   }
   *port = ntohs(addr.sin_port);
   return fd;
-}
-
-bool SoReusePortSupported() {
-#ifndef SO_REUSEPORT
-  return false;
-#else
-  static const bool supported = [] {
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) return false;
-    int one = 1;
-    const bool ok =
-        ::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) == 0;
-    ::close(fd);
-    return ok;
-  }();
-  return supported;
-#endif
 }
 
 }  // namespace dynaprox::net

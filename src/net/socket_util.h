@@ -34,25 +34,10 @@ Status SendChain(int fd, const common::BufferChain& chain,
 Result<int> DialTcp(const std::string& host, uint16_t port,
                     MicroTime io_timeout_micros);
 
-// Whether this kernel accepts SO_REUSEPORT on a TCP socket (probed once
-// on a throwaway socket, cached). EpollServer shards its listeners
-// across workers when true and falls back to one shared listener when
-// not.
-bool SoReusePortSupported();
-
-struct ListenerOptions {
-  bool nonblocking = false;  // SOCK_NONBLOCK on the listening socket.
-  bool reuseport = false;    // Set SO_REUSEPORT before bind.
-  int backlog = 64;
-};
-
-// Opens a TCP listener on 127.0.0.1:*port (0 = ephemeral; `*port` is
-// updated to the bound port either way). SO_REUSEADDR is always set;
-// with `reuseport` several listeners can bind the same port and the
-// kernel shards accepts across them. Returns the listening fd; the
-// caller owns it.
-Result<int> OpenLoopbackListener(uint16_t* port,
-                                 ListenerOptions options = {});
+// Opens a blocking TCP listener with SO_REUSEADDR on 127.0.0.1:*port
+// (0 = ephemeral; `*port` is updated to the bound port either way).
+// Returns the listening fd; the caller owns it.
+Result<int> OpenLoopbackListener(uint16_t* port);
 
 }  // namespace dynaprox::net
 

@@ -1,4 +1,4 @@
-// Blocking thread-per-connection shell over net::ConnectionCore. All
+// Blocking thread-per-connection server over net::ConnectionCore. All
 // connection lifecycle policy (limits, deadlines, dispatch, flush,
 // drain) lives in the core; this file only owns sockets and threads.
 // The client transport lives in net/tcp_client.cc.
@@ -127,8 +127,6 @@ void TcpServer::AcceptLoop() {
       switch (gate_.OnAcceptFailure(errno)) {
         case AcceptGate::FailureAction::kRetry:
           continue;
-        case AcceptGate::FailureAction::kNoneReady:
-          continue;  // Not reachable on a blocking listener.
         case AcceptGate::FailureAction::kBackoff:
           // Back off so a sustained fd outage doesn't spin the thread.
           std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -141,10 +139,10 @@ void TcpServer::AcceptLoop() {
     // Join connection threads that finished since the last accept; handles
     // must not pile up for the lifetime of the server.
     ReapFinishedThreads();
-    if (!gate_.Admit(fd, nullptr)) continue;
+    if (!gate_.Admit(fd)) continue;
     std::lock_guard<std::mutex> lock(mu_);
     if (!running_.load()) {
-      gate_.OnConnectionClosed(nullptr);
+      gate_.OnConnectionClosed();
       ::close(fd);
       break;
     }
@@ -158,8 +156,7 @@ void TcpServer::AcceptLoop() {
 }
 
 void TcpServer::ServeConnection(int fd) {
-  ConnectionCore core(ConnectionCore::Mode::kBlocking,
-                      {&handler_, &limits_, counters_, nullptr, &draining_});
+  ConnectionCore core({&handler_, &limits_, counters_, &draining_});
   if (limits_.write_stall_micros > 0) {
     // A client that stops reading its response stalls send(); bound it so
     // the thread (and its response buffer) cannot be held hostage. The
@@ -206,10 +203,8 @@ void TcpServer::ServeConnection(int fd) {
       break;
     }
     core.OnBytes(std::string_view(buf, static_cast<size_t>(n)), now);
-    if (core.Service(fd) != ConnectionCore::ServiceResult::kIdle) {
-      // kClose: responses flushed (or the connection died); kBlocked is
-      // impossible in blocking mode.
-      break;
+    if (core.Service(fd) == ConnectionCore::ServiceResult::kClose) {
+      break;  // Responses flushed, or the connection died.
     }
   }
   core.AccountClose();
@@ -228,7 +223,7 @@ void TcpServer::ServeConnection(int fd) {
       connection_threads_.erase(self);
     }
   }
-  gate_.OnConnectionClosed(nullptr);
+  gate_.OnConnectionClosed();
   ::close(fd);
 }
 

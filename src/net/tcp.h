@@ -19,13 +19,13 @@
 namespace dynaprox::net {
 
 // Blocking TCP server with one thread per connection and HTTP/1.1
-// keep-alive. Suitable for the examples and integration tests; the
-// deterministic simulation uses DirectTransport instead.
+// keep-alive: the ingress of both dynaprox_proxy and dynaprox_origin.
+// The deterministic simulation uses DirectTransport instead.
 //
 // The connection lifecycle (parsing, limits, dispatch, flush, drain
-// transitions) lives in net::ConnectionCore, shared with EpollServer;
-// this class is the blocking shell — sockets, one thread per
-// connection, poll ticks for deadline checks.
+// transitions) lives in net::ConnectionCore; this class owns the
+// sockets and threads — one thread per connection, with poll ticks for
+// deadline checks.
 //
 // Ingress protection (net/server_limits.h): an optional connection cap
 // enforced at accept, in-flight request admission (503 + Retry-After

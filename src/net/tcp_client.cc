@@ -1,6 +1,6 @@
 // Blocking TCP client transport (see net/tcp.h). The server half lives
 // in net/tcp.cc; splitting the two keeps client retry/idempotency logic
-// out of the server shell.
+// out of the server.
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>

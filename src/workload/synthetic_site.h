@@ -26,9 +26,8 @@ namespace dynaprox::workload {
 // forces a directory miss; an unbumped one hits (after first touch). The
 // long-run hit fraction therefore converges to h.
 //
-// Thread-safe: the multi-threaded servers (TcpServer, EpollServer
-// workers) run the page script concurrently, so the version/RNG state is
-// guarded by one mutex. Fragment bodies read the repository, which is
+// Thread-safe: TcpServer's connection threads run the page script
+// concurrently, so the version/RNG state is guarded by one mutex. Fragment bodies read the repository, which is
 // internally synchronized — generators may run on block-pool threads.
 struct SyntheticSiteOptions {
   // Size of a shared fragment pool. 0 gives every page its own fragments

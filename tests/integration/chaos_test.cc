@@ -449,10 +449,10 @@ TEST_F(ChaosClusterTest, EveryFaultPointFiresAcrossAllLayers) {
   tcp_request("net.close", "net.close=1:drop-conn");
   tcp_origin.Stop();
   {
-    // net.accept: fires in the shared AcceptGate (both server shells run
-    // the same admission path); an injected fault drops the freshly
-    // accepted connection before any accounting, so the client sees a
-    // clean connection failure, never a half-served request.
+    // net.accept: fires in the server's AcceptGate; an injected fault
+    // drops the freshly accepted connection before any accounting, so
+    // the client sees a clean connection failure, never a half-served
+    // request.
     snapshot("net.accept");
     net::TcpServer accept_origin([](const http::Request&) {
       return http::Response::MakeOk("accepted");

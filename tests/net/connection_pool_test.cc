@@ -5,11 +5,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -181,8 +183,8 @@ TEST(ConnectionPoolTest, WaiterTimesOutWhenPoolIsHeld) {
   PoolStats stats = pool.stats();
   EXPECT_EQ(stats.waiter_timeouts, 1u);
   EXPECT_EQ(stats.wait_queue_depth, 0);
-  EXPECT_GE(stats.wait_micros.count(), 1u);
-  EXPECT_GE(stats.wait_micros.max(), 40.0 * kMicrosPerMilli);
+  EXPECT_GE(stats.wait_micros.count, 1u);
+  EXPECT_GE(stats.wait_micros.max, 40.0 * kMicrosPerMilli);
 
   // Returning the held connection makes the pool usable again.
   pool.Checkin(*held, /*reusable=*/true);
@@ -237,7 +239,7 @@ TEST(ConnectionPoolTest, WaiterIsReleasedByCheckin) {
   EXPECT_FALSE(waited->fresh);
   PoolStats stats = pool.stats();
   EXPECT_EQ(stats.waiter_timeouts, 0u);
-  EXPECT_GE(stats.wait_micros.count(), 1u);
+  EXPECT_GE(stats.wait_micros.count, 1u);
   pool.Checkin(*waited, /*reusable=*/true);
   server.Stop();
 }
@@ -396,7 +398,7 @@ TEST(ConnectionPoolTest, WaiterTimeoutAccountingUnderManyWaiters) {
   // Every waiter is accounted exactly once: a timeout counter bump and
   // a wait-duration sample, and the queue gauge drains back to zero.
   EXPECT_EQ(stats.waiter_timeouts, static_cast<uint64_t>(kWaiters));
-  EXPECT_EQ(stats.wait_micros.count(), static_cast<size_t>(kWaiters));
+  EXPECT_EQ(stats.wait_micros.count, static_cast<uint64_t>(kWaiters));
   EXPECT_EQ(stats.wait_queue_depth, 0);
   EXPECT_EQ(stats.waiter_rejections, 0u);
 
@@ -437,6 +439,52 @@ TEST(PooledClientTransportTest, DoesNotResendNonIdempotentRequest) {
   // second attempt would have succeeded.
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_EQ(server.connections(), 1);
+}
+
+// Index of the bucket that holds `value` (first bound >= value).
+size_t BucketOf(double value) {
+  const std::vector<double>& bounds = PoolWaitTimes::BoundsMicros();
+  return static_cast<size_t>(
+      std::lower_bound(bounds.begin(), bounds.end(), value) -
+      bounds.begin());
+}
+
+TEST(ConnectionPoolTest, WaitTimesStayFixedSizeAndBucketAccurate) {
+  // PoolStats is plain scalars: copying it (once per gauge per scrape)
+  // costs the same after any number of blocked checkouts.
+  static_assert(std::is_trivially_copyable_v<PoolStats>);
+  static_assert(std::is_trivially_copyable_v<PoolWaitSummary>);
+
+  // 10k waits spread evenly over 100 µs .. 1 s.
+  constexpr int kWaits = 10000;
+  PoolWaitTimes waits;
+  for (int i = 1; i <= kWaits; ++i) waits.Record(i * MicroTime{100});
+  PoolWaitSummary summary = waits.Summary();
+  EXPECT_EQ(summary.count, static_cast<uint64_t>(kWaits));
+  EXPECT_EQ(summary.max, kWaits * 100.0);
+  // Each quantile lands in the bucket that holds the exact value.
+  const double exact_p50 = kWaits / 2 * 100.0;
+  const double exact_p99 = kWaits * 99 / 100 * 100.0;
+  EXPECT_EQ(BucketOf(summary.p50), BucketOf(exact_p50)) << summary.p50;
+  EXPECT_EQ(BucketOf(summary.p99), BucketOf(exact_p99)) << summary.p99;
+  EXPECT_LE(summary.p99, summary.max);
+
+  // The pool summarizes its own waits the same way.
+  TcpServer server(EchoHandler);
+  ASSERT_TRUE(server.Start().ok());
+  ConnectionPoolOptions options;
+  options.max_connections = 1;
+  options.checkout_timeout_micros = 20 * kMicrosPerMilli;
+  ConnectionPool pool("127.0.0.1", server.port(), options);
+  Result<ConnectionPool::Connection> held = pool.Checkout();
+  ASSERT_TRUE(held.ok());
+  EXPECT_FALSE(pool.Checkout().ok());
+  PoolStats stats = pool.stats();
+  EXPECT_EQ(stats.wait_micros.count, 1u);
+  EXPECT_GE(stats.wait_micros.max, 15.0 * kMicrosPerMilli);
+  EXPECT_EQ(BucketOf(stats.wait_micros.p50), BucketOf(stats.wait_micros.max));
+  pool.Checkin(*held, /*reusable=*/false);
+  server.Stop();
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
-// Shell conformance: TcpServer (blocking, thread-per-connection) and
-// EpollServer (non-blocking event loops) are thin transports over the
-// same net::ConnectionCore, so every connection-lifecycle rule must
-// behave identically on both. Each test here runs once per shell and
-// pins the rules the unified core converged:
+// Connection-lifecycle conformance for TcpServer over net::ConnectionCore,
+// over raw sockets:
 //
 //   - keep-alive connections are reused, not re-accepted;
+//   - pipelined requests are answered in order, also when the client
+//     half-closes right after sending them, and a large response queued
+//     at the half-close still flushes in full;
+//   - a malformed request gets 400 and a close; "Connection: close" is
+//     honoured after the response;
 //   - the header deadline resets on a clean message boundary (a quiet
 //     keep-alive gap is not a slowloris) but holds for partial messages;
 //   - the connection cap counts the server's own connections, never a
@@ -25,9 +27,9 @@
 
 #include <cerrno>
 #include <chrono>
-#include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -35,7 +37,6 @@
 
 #include "http/parser.h"
 #include "net/connection_core.h"
-#include "net/epoll_server.h"
 #include "net/tcp.h"
 
 namespace dynaprox::net {
@@ -44,41 +45,6 @@ namespace {
 http::Response EchoHandler(const http::Request& request) {
   return http::Response::MakeOk("path=" + std::string(request.Path()));
 }
-
-enum class Shell { kThreads, kEpoll };
-
-std::string ShellName(const ::testing::TestParamInfo<Shell>& info) {
-  return info.param == Shell::kThreads ? "Threads" : "Epoll";
-}
-
-// Uniform facade over the two server classes.
-class ServerUnderTest {
- public:
-  ServerUnderTest(Shell shell, Handler handler, ServerLimits limits = {}) {
-    if (shell == Shell::kThreads) {
-      tcp_ = std::make_unique<TcpServer>(std::move(handler), 0, limits);
-    } else {
-      epoll_ = std::make_unique<EpollServer>(std::move(handler), 0,
-                                             /*num_workers=*/1, limits);
-    }
-  }
-
-  Status Start() { return tcp_ ? tcp_->Start() : epoll_->Start(); }
-  void Stop() { tcp_ ? tcp_->Stop() : epoll_->Stop(); }
-  void Stop(MicroTime drain_micros) {
-    tcp_ ? tcp_->Stop(drain_micros) : epoll_->Stop(drain_micros);
-  }
-  uint16_t port() const { return tcp_ ? tcp_->port() : epoll_->port(); }
-  const IngressCounters& ingress() const {
-    return tcp_ ? tcp_->ingress() : epoll_->ingress();
-  }
-
- private:
-  std::unique_ptr<TcpServer> tcp_;
-  std::unique_ptr<EpollServer> epoll_;
-};
-
-class ServerConformanceTest : public ::testing::TestWithParam<Shell> {};
 
 int ConnectTo(uint16_t port) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -126,8 +92,8 @@ bool WaitForEof(int fd) {
   return false;
 }
 
-TEST_P(ServerConformanceTest, KeepAliveReusesOneConnection) {
-  ServerUnderTest server(GetParam(), EchoHandler);
+TEST(ServerConformanceTest, KeepAliveReusesOneConnection) {
+  TcpServer server(EchoHandler);
   ASSERT_TRUE(server.Start().ok());
   TcpClientTransport client("127.0.0.1", server.port());
   for (int i = 0; i < 20; ++i) {
@@ -141,10 +107,141 @@ TEST_P(ServerConformanceTest, KeepAliveReusesOneConnection) {
   server.Stop();
 }
 
-TEST_P(ServerConformanceTest, HeaderDeadlineResetsOnCleanBoundary) {
+// Everything the server sends on `fd` until it closes the connection.
+std::string ReadUntilClose(int fd) {
+  std::string received;
+  char buf[64 * 1024];
+  for (;;) {
+    ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) return received;
+    received.append(buf, static_cast<size_t>(n));
+  }
+}
+
+// Every complete response in `wire`, in order.
+std::vector<http::Response> ParseResponses(std::string_view wire) {
+  http::ResponseReader reader;
+  reader.Feed(wire);
+  std::vector<http::Response> responses;
+  while (auto next = reader.Next()) {
+    if (!next->ok()) break;
+    responses.push_back(next->value());
+  }
+  return responses;
+}
+
+TEST(ServerConformanceTest, PipelinedRequestsAnsweredInOrder) {
+  TcpServer server(EchoHandler);
+  ASSERT_TRUE(server.Start().ok());
+  int fd = ConnectTo(server.port());
+  ASSERT_GE(fd, 0);
+  // Two requests in one write.
+  http::Request a;
+  a.target = "/a";
+  http::Request b;
+  b.target = "/b";
+  std::string wire = a.Serialize() + b.Serialize();
+  ASSERT_EQ(::send(fd, wire.data(), wire.size(), 0),
+            static_cast<ssize_t>(wire.size()));
+  // Both responses may arrive in one read: parse them off one reader.
+  http::ResponseReader reader;
+  std::vector<std::string> bodies;
+  char buf[4096];
+  while (bodies.size() < 2) {
+    ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    ASSERT_GT(n, 0);
+    reader.Feed(std::string_view(buf, static_cast<size_t>(n)));
+    while (auto next = reader.Next()) {
+      ASSERT_TRUE(next->ok());
+      bodies.push_back(next->value().body);
+    }
+  }
+  EXPECT_EQ(bodies[0], "path=/a");
+  EXPECT_EQ(bodies[1], "path=/b");
+  ::close(fd);
+  server.Stop();
+}
+
+TEST(ServerConformanceTest, PipelinedRequestsServedAfterClientHalfClose) {
+  // Pipelined requests that arrive in the same read burst as the EOF
+  // must still be answered before the server closes.
+  TcpServer server(EchoHandler);
+  ASSERT_TRUE(server.Start().ok());
+  int fd = ConnectTo(server.port());
+  ASSERT_GE(fd, 0);
+  http::Request a;
+  a.target = "/a";
+  http::Request b;
+  b.target = "/b";
+  std::string wire = a.Serialize() + b.Serialize();
+  ASSERT_EQ(::send(fd, wire.data(), wire.size(), 0),
+            static_cast<ssize_t>(wire.size()));
+  // Half-close right away so requests and EOF land together server-side.
+  ASSERT_EQ(::shutdown(fd, SHUT_WR), 0);
+  std::vector<http::Response> responses = ParseResponses(ReadUntilClose(fd));
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_EQ(responses[0].body, "path=/a");
+  EXPECT_EQ(responses[1].body, "path=/b");
+  ::close(fd);
+  server.Stop();
+}
+
+TEST(ServerConformanceTest, LargeResponseFlushedAfterClientHalfClose) {
+  // EOF with a large response still queued: the server finishes the
+  // flush before it closes rather than dropping the output.
+  const std::string big(2 * 1024 * 1024, 'Y');
+  TcpServer server(
+      [&](const http::Request&) { return http::Response::MakeOk(big); });
+  ASSERT_TRUE(server.Start().ok());
+  int fd = ConnectTo(server.port());
+  ASSERT_GE(fd, 0);
+  std::string wire = http::Request{}.Serialize();
+  ASSERT_EQ(::send(fd, wire.data(), wire.size(), 0),
+            static_cast<ssize_t>(wire.size()));
+  ASSERT_EQ(::shutdown(fd, SHUT_WR), 0);
+  std::vector<http::Response> responses = ParseResponses(ReadUntilClose(fd));
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_EQ(responses[0].body.size(), big.size());
+  ::close(fd);
+  server.Stop();
+}
+
+TEST(ServerConformanceTest, MalformedRequestGets400AndClose) {
+  TcpServer server(EchoHandler);
+  ASSERT_TRUE(server.Start().ok());
+  int fd = ConnectTo(server.port());
+  ASSERT_GE(fd, 0);
+  const char kBad[] = "NOT HTTP AT ALL\r\n\r\n";
+  ASSERT_GT(::send(fd, kBad, sizeof(kBad) - 1, 0), 0);
+  // The server closes after the 400.
+  EXPECT_NE(ReadUntilClose(fd).find("400 Bad Request"), std::string::npos);
+  ::close(fd);
+  server.Stop();
+}
+
+TEST(ServerConformanceTest, ConnectionCloseHeaderHonored) {
+  TcpServer server(EchoHandler);
+  ASSERT_TRUE(server.Start().ok());
+  int fd = ConnectTo(server.port());
+  ASSERT_GE(fd, 0);
+  http::Request request;
+  request.target = "/x";
+  request.headers.Add("Connection", "close");
+  std::string wire = request.Serialize();
+  ASSERT_GT(::send(fd, wire.data(), wire.size(), 0), 0);
+  // Full response, then EOF.
+  std::vector<http::Response> responses = ParseResponses(ReadUntilClose(fd));
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_EQ(responses[0].body, "path=/x");
+  EXPECT_EQ(responses[0].headers.Get("Connection").value_or(""), "close");
+  ::close(fd);
+  server.Stop();
+}
+
+TEST(ServerConformanceTest, HeaderDeadlineResetsOnCleanBoundary) {
   ServerLimits limits;
   limits.header_timeout_micros = 200 * kMicrosPerMilli;
-  ServerUnderTest server(GetParam(), EchoHandler, limits);
+  TcpServer server(EchoHandler, 0, limits);
   ASSERT_TRUE(server.Start().ok());
   int fd = ConnectTo(server.port());
   ASSERT_GE(fd, 0);
@@ -178,7 +275,7 @@ TEST_P(ServerConformanceTest, HeaderDeadlineResetsOnCleanBoundary) {
   server.Stop();
 }
 
-TEST_P(ServerConformanceTest, ConnectionCapCountsOwnConnectionsOnly) {
+TEST(ServerConformanceTest, ConnectionCapCountsOwnConnectionsOnly) {
   // Two servers share one IngressCounters, each capped at 1. If either
   // enforced the cap against the shared gauge, the second server's
   // first client would be rejected by the other server's connection.
@@ -186,8 +283,8 @@ TEST_P(ServerConformanceTest, ConnectionCapCountsOwnConnectionsOnly) {
   ServerLimits limits;
   limits.max_connections = 1;
   limits.counters = &shared;
-  ServerUnderTest a(GetParam(), EchoHandler, limits);
-  ServerUnderTest b(GetParam(), EchoHandler, limits);
+  TcpServer a(EchoHandler, 0, limits);
+  TcpServer b(EchoHandler, 0, limits);
   ASSERT_TRUE(a.Start().ok());
   ASSERT_TRUE(b.Start().ok());
 
@@ -223,12 +320,11 @@ TEST_P(ServerConformanceTest, ConnectionCapCountsOwnConnectionsOnly) {
   b.Stop();
 }
 
-TEST_P(ServerConformanceTest, DrainFinishesInflightAndCountsIt) {
+TEST(ServerConformanceTest, DrainFinishesInflightAndCountsIt) {
   // The drain begins while the handler is still running; the response
   // must still go out, carry "Connection: close", close the connection,
-  // and count toward drained_connections — on both shells.
-  ServerUnderTest server(
-      GetParam(),
+  // and count toward drained_connections.
+  TcpServer server(
       [](const http::Request& request) {
         std::this_thread::sleep_for(std::chrono::milliseconds(200));
         return EchoHandler(request);
@@ -250,13 +346,12 @@ TEST_P(ServerConformanceTest, DrainFinishesInflightAndCountsIt) {
   ::close(fd);
 }
 
-TEST_P(ServerConformanceTest, DrainServesRequestBytesAlreadyBuffered) {
+TEST(ServerConformanceTest, DrainServesRequestBytesAlreadyBuffered) {
   // The request reaches the kernel socket buffer before the drain begins
   // but the server has not read it yet (the handler is busy with another
   // connection). Drain must treat it as in flight — served with
   // "Connection: close" — not reap the connection as idle.
-  ServerUnderTest server(
-      GetParam(),
+  TcpServer server(
       [](const http::Request& request) {
         if (request.Path() == "/busy") {
           std::this_thread::sleep_for(std::chrono::milliseconds(250));
@@ -283,8 +378,8 @@ TEST_P(ServerConformanceTest, DrainServesRequestBytesAlreadyBuffered) {
   ASSERT_GT(::send(busy, wire.data(), wire.size(), 0), 0);
   std::this_thread::sleep_for(std::chrono::milliseconds(60));
 
-  // Now the victim's request lands; it may sit unread while the shell is
-  // busy (epoll: same worker loop occupied by /busy).
+  // Now the victim's request lands while the server is busy with /busy;
+  // it may still sit unread in the socket buffer when the drain begins.
   http::Request parked;
   parked.target = "/parked";
   wire = parked.Serialize();
@@ -327,12 +422,12 @@ bool WaitFor(Pred done) {
   return done();
 }
 
-TEST_P(ServerConformanceTest, FlappingFdExhaustionIsOneEpisode) {
+TEST(ServerConformanceTest, FlappingFdExhaustionIsOneEpisode) {
   // A starved client that gives up frees one fd, so one accept succeeds
   // in the middle of the outage and the next client fails again at once.
   // That is still one episode; only a quiet period of healthy accepts
   // ends it, after which the next outage counts again.
-  ServerUnderTest server(GetParam(), EchoHandler);
+  TcpServer server(EchoHandler);
   ASSERT_TRUE(server.Start().ok());
   const IngressCounters& ingress = server.ingress();
   auto episodes = [&] {
@@ -387,10 +482,6 @@ TEST_P(ServerConformanceTest, FlappingFdExhaustionIsOneEpisode) {
   server.Stop();
 }
 
-INSTANTIATE_TEST_SUITE_P(Shells, ServerConformanceTest,
-                         ::testing::Values(Shell::kThreads, Shell::kEpoll),
-                         ShellName);
-
 // The episode rule on a simulated clock, without sockets in the outage.
 TEST(AcceptGateTest, QuietPeriodOfHealthyAcceptsEndsAnEpisode) {
   SimClock clock(kMicrosPerSecond);
@@ -401,8 +492,8 @@ TEST(AcceptGateTest, QuietPeriodOfHealthyAcceptsEndsAnEpisode) {
   auto admit = [&] {
     int fds[2];
     ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-    ASSERT_TRUE(gate.Admit(fds[0], nullptr));
-    gate.OnConnectionClosed(nullptr);
+    ASSERT_TRUE(gate.Admit(fds[0]));
+    gate.OnConnectionClosed();
     ::close(fds[0]);
     ::close(fds[1]);
   };

@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include "http/parser.h"
-#include "net/epoll_server.h"
 #include "net/tcp.h"
 
 namespace dynaprox::net {
@@ -297,55 +296,12 @@ TEST(ServerLimitsTest, TcpDrainClosesIdleConnectionsQuickly) {
             2000);
 }
 
-TEST(ServerLimitsTest, EpollRejectsOversizeHeaderWith431) {
-  ServerLimits limits;
-  limits.max_header_bytes = 512;
-  EpollServer server(EchoHandler, 0, 1, limits);
-  ASSERT_TRUE(server.Start().ok());
-  RawClient client(server.port());
-  ASSERT_TRUE(client.connected());
-  ASSERT_TRUE(client.Send("GET / HTTP/1.1\r\nX-Big: " +
-                          std::string(2048, 'h') + "\r\n\r\n"));
-  Result<http::Response> response = client.ReadResponse();
-  ASSERT_TRUE(response.ok()) << response.status().ToString();
-  EXPECT_EQ(response->status_code, 431);
-  EXPECT_EQ(server.ingress().oversize_headers.load(), 1u);
-  server.Stop();
-}
-
-TEST(ServerLimitsTest, EpollDisconnectsSlowlorisAtHeaderDeadline) {
-  ServerLimits limits;
-  limits.header_timeout_micros = 150 * kMicrosPerMilli;
-  EpollServer server(EchoHandler, 0, 1, limits);
-  ASSERT_TRUE(server.Start().ok());
-  RawClient client(server.port());
-  ASSERT_TRUE(client.connected());
-  ASSERT_TRUE(client.Send("GET /stuck HTTP/1.1\r\nX-Slow: "));
-  std::string rest = client.ReadUntilClose();
-  EXPECT_TRUE(rest.empty());
-  EXPECT_EQ(server.ingress().header_timeouts.load(), 1u);
-  server.Stop();
-}
-
-TEST(ServerLimitsTest, EpollDisconnectsDrippingSlowloris) {
-  ServerLimits limits;
-  limits.header_timeout_micros = 150 * kMicrosPerMilli;
-  EpollServer server(EchoHandler, 0, 1, limits);
-  ASSERT_TRUE(server.Start().ok());
-  RawClient client(server.port());
-  ASSERT_TRUE(client.connected());
-  ASSERT_TRUE(client.Send("GET /drip HTTP/1.1\r\nX-Slow: "));
-  EXPECT_TRUE(DripUntilClosed(client, 40 * kMicrosPerMilli, 25));
-  EXPECT_EQ(server.ingress().header_timeouts.load(), 1u);
-  server.Stop();
-}
-
-TEST(ServerLimitsTest, EpollCountsLimitViolationOnce) {
+TEST(ServerLimitsTest, TcpCountsLimitViolationOnce) {
   // Packets arriving after a violation already failed the reader must
   // not re-enter dispatch: one violation, one counter bump, one 431.
   ServerLimits limits;
   limits.max_header_bytes = 512;
-  EpollServer server(EchoHandler, 0, 1, limits);
+  TcpServer server(EchoHandler, 0, limits);
   ASSERT_TRUE(server.Start().ok());
   RawClient client(server.port());
   ASSERT_TRUE(client.connected());
@@ -364,71 +320,6 @@ TEST(ServerLimitsTest, EpollCountsLimitViolationOnce) {
             std::string::npos);
   EXPECT_EQ(server.ingress().oversize_headers.load(), 1u);
   server.Stop();
-}
-
-TEST(ServerLimitsTest, EpollEnforcesConnectionCap) {
-  ServerLimits limits;
-  limits.max_connections = 1;
-  EpollServer server(EchoHandler, 0, 1, limits);
-  ASSERT_TRUE(server.Start().ok());
-
-  RawClient occupant(server.port());
-  ASSERT_TRUE(occupant.connected());
-  ASSERT_TRUE(occupant.Send(SimpleGet("/hold")));
-  ASSERT_TRUE(occupant.ReadResponse().ok());
-
-  RawClient excess(server.port());
-  ASSERT_TRUE(excess.connected());
-  excess.Send(SimpleGet("/nope"));
-  std::string rest = excess.ReadUntilClose();
-  EXPECT_TRUE(rest.empty());
-  EXPECT_GE(server.ingress().connection_limit_rejections.load(), 1u);
-  server.Stop();
-}
-
-TEST(ServerLimitsTest, EpollShedsOverInflightCap) {
-  // One inline worker: the gate trips when a second request arrives
-  // while the first still occupies the slot. Force that deterministically
-  // by taking the slot from outside the event loop.
-  ServerLimits limits;
-  limits.max_inflight = 1;
-  IngressCounters counters;
-  limits.counters = &counters;
-  EpollServer server(EchoHandler, 0, 1, limits);
-  ASSERT_TRUE(server.Start().ok());
-
-  counters.inflight_requests.fetch_add(1);  // Occupy the only slot.
-  RawClient client(server.port());
-  ASSERT_TRUE(client.connected());
-  ASSERT_TRUE(client.Send(SimpleGet("/shed-me")));
-  Result<http::Response> shed = client.ReadResponse();
-  ASSERT_TRUE(shed.ok()) << shed.status().ToString();
-  EXPECT_EQ(shed->status_code, 503);
-  EXPECT_TRUE(shed->headers.Get("Retry-After").has_value());
-  EXPECT_EQ(counters.shed_503s.load(), 1u);
-  counters.inflight_requests.fetch_sub(1);
-  server.Stop();
-}
-
-TEST(ServerLimitsTest, EpollGracefulDrainFinishesInflightRequest) {
-  EpollServer server(
-      [](const http::Request&) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(200));
-        return http::Response::MakeOk("finished");
-      },
-      0, 1);
-  ASSERT_TRUE(server.Start().ok());
-
-  RawClient client(server.port());
-  ASSERT_TRUE(client.connected());
-  ASSERT_TRUE(client.Send(SimpleGet("/inflight")));
-  std::this_thread::sleep_for(std::chrono::milliseconds(80));
-  server.Stop(2 * kMicrosPerSecond);
-
-  Result<http::Response> response = client.ReadResponse();
-  ASSERT_TRUE(response.ok()) << response.status().ToString();
-  EXPECT_EQ(response->status_code, 200);
-  EXPECT_EQ(response->body, "finished");
 }
 
 TEST(ServerLimitsTest, ConnectionCapIsPerServerUnderSharedCounters) {

@@ -1,5 +1,5 @@
 // End-to-end streaming over real sockets: handlers that return a
-// Response::body_stream (served chunked by TcpServer and EpollServer) and
+// Response::body_stream (served chunked by TcpServer) and
 // the client half (Transport::RoundTripStreaming on the buffered adapter,
 // TcpClientTransport, and PooledClientTransport).
 
@@ -14,7 +14,6 @@
 
 #include "common/buffer_chain.h"
 #include "net/connection_pool.h"
-#include "net/epoll_server.h"
 #include "net/tcp.h"
 #include "net/transport.h"
 
@@ -87,23 +86,9 @@ TEST(StreamingTest, TcpServerStreamsChunkedToBufferedClient) {
   server.Stop();
 }
 
-TEST(StreamingTest, EpollServerStreamsChunkedToBufferedClient) {
-  EpollServer server([](const http::Request&) {
-    return StreamedResponse({"alpha", "beta", "gamma"});
-  });
-  ASSERT_TRUE(server.Start().ok());
-  TcpClientTransport client("127.0.0.1", server.port());
-  http::Request request;
-  request.target = "/streamed";
-  Result<http::Response> response = client.RoundTrip(request);
-  ASSERT_TRUE(response.ok()) << response.status().ToString();
-  EXPECT_EQ(response->body, "alphabetagamma");
-  server.Stop();
-}
-
 TEST(StreamingTest, KeepAliveSurvivesAStreamedResponse) {
   // The chunked terminator delimits the body, so the connection must be
-  // reusable for buffered and streamed requests alike — on both servers.
+  // reusable for buffered and streamed requests alike.
   std::atomic<int> calls{0};
   Handler handler = [&calls](const http::Request& request) {
     ++calls;
@@ -112,65 +97,47 @@ TEST(StreamingTest, KeepAliveSurvivesAStreamedResponse) {
     }
     return http::Response::MakeOk("buffered-body");
   };
-  TcpServer tcp_server(handler);
-  EpollServer epoll_server(handler);
-  ASSERT_TRUE(tcp_server.Start().ok());
-  ASSERT_TRUE(epoll_server.Start().ok());
-  for (uint16_t port : {tcp_server.port(), epoll_server.port()}) {
-    TcpClientTransport client("127.0.0.1", port);
-    for (int round = 0; round < 3; ++round) {
-      http::Request request;
-      request.target = "/streamed";
-      Result<http::Response> streamed = client.RoundTrip(request);
-      ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
-      EXPECT_EQ(streamed->body, "chunked-body");
-      request.target = "/buffered";
-      Result<http::Response> buffered = client.RoundTrip(request);
-      ASSERT_TRUE(buffered.ok());
-      EXPECT_EQ(buffered->body, "buffered-body");
-    }
+  TcpServer server(handler);
+  ASSERT_TRUE(server.Start().ok());
+  TcpClientTransport client("127.0.0.1", server.port());
+  for (int round = 0; round < 3; ++round) {
+    http::Request request;
+    request.target = "/streamed";
+    Result<http::Response> streamed = client.RoundTrip(request);
+    ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+    EXPECT_EQ(streamed->body, "chunked-body");
+    request.target = "/buffered";
+    Result<http::Response> buffered = client.RoundTrip(request);
+    ASSERT_TRUE(buffered.ok());
+    EXPECT_EQ(buffered->body, "buffered-body");
   }
-  EXPECT_EQ(calls.load(), 12);
-  tcp_server.Stop();
-  epoll_server.Stop();
+  EXPECT_EQ(calls.load(), 6);
+  EXPECT_EQ(server.ingress().accepted_total.load(), 1u);
+  server.Stop();
 }
 
 TEST(StreamingTest, MidStreamErrorSurfacesAsTruncatedBody) {
   // After the head is committed the only honest failure mode is closing
   // without the final chunk frame; the buffered client must report an
   // error, never a complete-looking short body.
-  for (int use_epoll = 0; use_epoll < 2; ++use_epoll) {
-    Handler handler = [](const http::Request&) {
-      return StreamedResponse({"partial "}, /*fail_after_script=*/true);
-    };
-    std::unique_ptr<TcpServer> tcp;
-    std::unique_ptr<EpollServer> epoll;
-    uint16_t port = 0;
-    if (use_epoll == 1) {
-      epoll = std::make_unique<EpollServer>(handler);
-      ASSERT_TRUE(epoll->Start().ok());
-      port = epoll->port();
-    } else {
-      tcp = std::make_unique<TcpServer>(handler);
-      ASSERT_TRUE(tcp->Start().ok());
-      port = tcp->port();
-    }
-    TcpClientTransport client("127.0.0.1", port);
-    http::Request request;
-    request.target = "/aborted";
-    Result<http::Response> response = client.RoundTrip(request);
-    EXPECT_FALSE(response.ok()) << "use_epoll=" << use_epoll;
-    if (tcp != nullptr) tcp->Stop();
-    if (epoll != nullptr) epoll->Stop();
-  }
+  TcpServer server([](const http::Request&) {
+    return StreamedResponse({"partial "}, /*fail_after_script=*/true);
+  });
+  ASSERT_TRUE(server.Start().ok());
+  TcpClientTransport client("127.0.0.1", server.port());
+  http::Request request;
+  request.target = "/aborted";
+  EXPECT_FALSE(client.RoundTrip(request).ok());
+  server.Stop();
 }
 
-TEST(StreamingTest, LargeStreamedBodyAppliesBackpressure) {
-  // 4MiB through the EpollServer's 256KiB high-water mark: the pump must
-  // pause and resume on EPOLLOUT without losing or reordering bytes.
+TEST(StreamingTest, LargeStreamedBodyArrivesWhole) {
+  // 4MiB streamed in 64KiB chunks, far past the socket buffers: each
+  // flush between pulls blocks on the reader, and no byte may be lost or
+  // reordered across those partial writes.
   constexpr int kChunks = 64;
   const std::string chunk(64 * 1024, 's');
-  EpollServer server([&chunk](const http::Request&) {
+  TcpServer server([&chunk](const http::Request&) {
     std::vector<std::string> chunks(kChunks, chunk);
     return StreamedResponse(std::move(chunks));
   });

@@ -11,14 +11,13 @@
 //      tier counters agree.
 //   4. After disarming, the cluster recovers to clean identical 200s.
 //
-//   ./dynaprox_chaos [--seed=42] [--requests=600] [--workers=3]
+//   ./dynaprox_chaos [--seed=42] [--requests=600]
 //       [--chaos=point=prob:action[:param],...] [--verbose]
 //
 // With no --chaos, a built-in rotation of specs arms every
 // in-process-reachable seam. A final ingress stage then puts the cluster
-// behind a real multi-worker epoll server (--workers event loops,
-// SO_REUSEPORT sharded where supported) and storms it over loopback with
-// the net.accept seam armed — the one seam DirectTransport cannot reach.
+// behind a real net::TcpServer and storms it over loopback with the
+// net.accept seam armed — the one seam DirectTransport cannot reach.
 // Exits 0 when all invariants hold, 1 otherwise; the same --seed always
 // replays the same injection sequence, so a failure reproduces exactly.
 
@@ -39,7 +38,6 @@
 #include "dpc/proxy.h"
 #include "edge/cluster.h"
 #include "net/byte_meter.h"
-#include "net/epoll_server.h"
 #include "net/server_limits.h"
 #include "net/tcp.h"
 #include "net/transport.h"
@@ -110,8 +108,7 @@ int main(int argc, char** argv) {
   }
   Result<int64_t> seed = flags->GetInt("seed", 42);
   Result<int64_t> requests = flags->GetInt("requests", 600);
-  Result<int64_t> workers = flags->GetInt("workers", 3);
-  for (const auto* r : {&seed, &requests, &workers}) {
+  for (const auto* r : {&seed, &requests}) {
     if (!r->ok()) {
       std::fprintf(stderr, "%s\n", r->status().ToString().c_str());
       return 2;
@@ -376,33 +373,24 @@ int main(int argc, char** argv) {
     registry.DisarmAll();
   }
 
-  // ---- Ingress stage: real TCP through a multi-worker epoll front. ----
+  // ---- Ingress stage: real TCP through the TcpServer front. ----
   // Everything above rides DirectTransport, which skips the socket layer
   // entirely — so the net.accept seam never fires in-process. Here the
-  // recovered cluster goes behind an EpollServer with --workers event
-  // loops (SO_REUSEPORT sharded listeners where the kernel supports it)
-  // and takes a loopback storm with the accept seam armed. Invariants:
-  // every response that gets through matches the oracle byte-for-byte, a
-  // casualty is only ever a clean transport-level refusal, the per-worker
-  // ingress mirrors sum to the shared totals, and a graceful drain leaves
-  // nothing open.
+  // recovered cluster goes behind a TcpServer and takes a loopback storm
+  // with the accept seam armed. Invariants: every response that gets
+  // through matches the oracle byte-for-byte, a casualty is only ever a
+  // clean transport-level refusal, and a graceful drain leaves nothing
+  // open.
   uint64_t ingress_clean = 0;
   uint64_t ingress_refused = 0;
-  bool ingress_sharded = false;
-  if (*workers > 0) {
-    net::IngressCounters ingress_totals;
-    net::ServerLimits ingress_limits;
-    ingress_limits.counters = &ingress_totals;
-    net::EpollServer ingress(
-        [&cluster](const http::Request& request) {
-          return cluster.Handle(request);
-        },
-        0, static_cast<int>(*workers), ingress_limits);
+  {
+    net::TcpServer ingress([&cluster](const http::Request& request) {
+      return cluster.Handle(request);
+    });
     if (Status started = ingress.Start(); !started.ok()) {
       std::fprintf(stderr, "ingress: %s\n", started.ToString().c_str());
       return 2;
     }
-    ingress_sharded = ingress.reuseport_sharded();
     Status armed =
         registry.Arm("net.accept=0.25:error",
                      static_cast<uint64_t>(*seed) + phases.size() + 1);
@@ -413,7 +401,7 @@ int main(int argc, char** argv) {
     net::TcpClientOptions client_options;
     client_options.io_timeout_micros = 2 * kMicrosPerSecond;
     // Fresh connection per request: each round trip crosses the accept
-    // seam again, on whichever worker the kernel hashes it to.
+    // seam again.
     for (int i = 0; i < 64; ++i) {
       int page = ZipfPick(workload, kPages);
       http::Request request;
@@ -459,25 +447,12 @@ int main(int argc, char** argv) {
       }
     }
     ingress.Stop(/*drain_timeout_micros=*/2 * kMicrosPerSecond);
-    uint64_t accepted_sum = 0;
-    for (int w = 0; w < ingress.worker_count(); ++w) {
-      accepted_sum += ingress.worker_ingress(w).accepted_total.load();
-    }
-    if (accepted_sum != ingress_totals.accepted_total.load()) {
-      ok = false;
-      std::fprintf(stderr,
-                   "VIOLATION: per-worker accepts (%llu) do not sum to "
-                   "the shared total (%llu)\n",
-                   static_cast<unsigned long long>(accepted_sum),
-                   static_cast<unsigned long long>(
-                       ingress_totals.accepted_total.load()));
-    }
-    if (ingress_totals.open_connections.load() != 0) {
+    if (ingress.ingress().open_connections.load() != 0) {
       ok = false;
       std::fprintf(stderr,
                    "VIOLATION: %lld connections still open after drain\n",
                    static_cast<long long>(
-                       ingress_totals.open_connections.load()));
+                       ingress.ingress().open_connections.load()));
     }
   }
 
@@ -494,15 +469,11 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(tally.error_502),
       static_cast<unsigned long long>(tally.shed_503),
       static_cast<unsigned long long>(tally.violations));
-  if (*workers > 0) {
-    std::printf(
-        "ingress storm: %lld epoll workers (%s): %llu clean 200, %llu "
-        "accept refusals, drained clean\n",
-        static_cast<long long>(*workers),
-        ingress_sharded ? "SO_REUSEPORT sharded" : "shared listener",
-        static_cast<unsigned long long>(ingress_clean),
-        static_cast<unsigned long long>(ingress_refused));
-  }
+  std::printf(
+      "ingress storm: %llu clean 200, %llu accept refusals, drained "
+      "clean\n",
+      static_cast<unsigned long long>(ingress_clean),
+      static_cast<unsigned long long>(ingress_refused));
   std::printf("fault points fired:\n");
   for (const auto& [point, fired] : registry.FiredCounts()) {
     if (fired > 0 || verbose) {

@@ -5,7 +5,7 @@
 //
 //   ./dynaprox_origin --port=8081 --pages=10 --fragments=4
 //       --fragment-size=1000 --hit-ratio=0.8 [--no-bem] [--capacity=4096]
-//       [--sweep-interval-ms=1000] [--server=threads|epoll] [--workers=4]
+//       [--sweep-interval-ms=1000]
 //       [--block-workers=0] [--block-queue=256]
 //       [--metrics=true] [--access-log=PATH]
 //       [--max-connections=0] [--max-inflight=0]
@@ -29,8 +29,8 @@
 // but nothing drains — useful for sizing the threshold before enabling
 // delivery.
 //
-// The ingress limits (docs/failure-modes.md) all default to 0 = off and
-// apply to whichever --server is selected: --max-connections caps
+// Ingress is the thread-per-connection net::TcpServer. Its limits
+// (docs/failure-modes.md) all default to 0 = off: --max-connections caps
 // concurrent connections, --max-inflight sheds excess concurrent
 // requests with 503 + Retry-After, the three timeouts (milliseconds)
 // disconnect slowloris/idle/stalled clients, the byte caps answer
@@ -68,7 +68,6 @@
 #include "common/flags.h"
 #include "common/strings.h"
 #include "net/connection_pool.h"
-#include "net/epoll_server.h"
 #include "net/tcp.h"
 #include "storage/table.h"
 #include "workload/synthetic_site.h"
@@ -111,14 +110,13 @@ int main(int argc, char** argv) {
   Result<int64_t> push_target_port = flags->GetInt("push-target-port", 0);
   Result<int64_t> push_drain_ms = flags->GetInt("push-drain-ms", 500);
   Result<int64_t> chaos_seed = flags->GetInt("chaos-seed", 42);
-  Result<int64_t> workers = flags->GetInt("workers", 2);
   for (const auto* r : {&port, &pages, &fragments, &capacity, &sweep_ms,
                         &seed, &max_connections, &max_inflight,
                         &header_timeout_ms, &idle_timeout_ms,
                         &write_stall_ms, &max_header_bytes, &max_body_bytes,
                         &drain_timeout_ms, &block_workers, &block_queue,
                         &push_queue_capacity, &push_target_port,
-                        &push_drain_ms, &chaos_seed, &workers}) {
+                        &push_drain_ms, &chaos_seed}) {
     if (!r->ok()) {
       std::fprintf(stderr, "%s\n", r->status().ToString().c_str());
       return 2;
@@ -225,10 +223,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::string server_kind = flags->GetString("server", "threads");
-  const int worker_count =
-      server_kind == "epoll" ? static_cast<int>(*workers) : 0;
-
   net::IngressCounters ingress;
   net::ServerLimits limits;
   limits.max_connections = static_cast<int>(*max_connections);
@@ -239,16 +233,6 @@ int main(int argc, char** argv) {
   limits.idle_timeout_micros = *idle_timeout_ms * kMicrosPerMilli;
   limits.write_stall_micros = *write_stall_ms * kMicrosPerMilli;
   limits.counters = &ingress;
-  // Multi-worker epoll: allocate the per-worker ingress slots here so the
-  // origin (constructed before the server) can export the labeled series
-  // and the server mirrors into them via ServerLimits.
-  std::unique_ptr<net::IngressCounters[]> worker_slots;
-  if (worker_count > 1) {
-    worker_slots = std::make_unique<net::IngressCounters[]>(
-        static_cast<size_t>(worker_count));
-    limits.worker_counters = worker_slots.get();
-    limits.worker_counter_count = worker_count;
-  }
 
   appserver::OriginOptions origin_options;
   origin_options.pad_headers_to_bytes =
@@ -257,10 +241,6 @@ int main(int argc, char** argv) {
   origin_options.enable_metrics = flags->GetBool("metrics", true);
   origin_options.access_log = access_log.get();
   origin_options.ingress = &ingress;
-  if (worker_slots != nullptr) {
-    origin_options.worker_ingress = worker_slots.get();
-    origin_options.worker_ingress_count = worker_count;
-  }
   origin_options.block_workers = static_cast<int>(*block_workers);
   origin_options.block_queue_capacity = static_cast<size_t>(*block_queue);
   origin_options.push_engine = push_engine.get();
@@ -282,43 +262,16 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::unique_ptr<net::TcpServer> thread_server;
-  std::unique_ptr<net::EpollServer> epoll_server;
-  uint16_t bound_port = 0;
-  if (server_kind == "epoll") {
-    epoll_server = std::make_unique<net::EpollServer>(
-        origin.AsHandler(), static_cast<uint16_t>(*port),
-        static_cast<int>(*workers), limits);
-    Status started = epoll_server->Start();
-    if (!started.ok()) {
-      std::fprintf(stderr, "%s\n", started.ToString().c_str());
-      return 1;
-    }
-    bound_port = epoll_server->port();
-    if (epoll_server->worker_count() > 1) {
-      std::printf("epoll workers: %d (%s)\n", epoll_server->worker_count(),
-                  epoll_server->reuseport_sharded()
-                      ? "SO_REUSEPORT sharded listeners"
-                      : "shared listener fallback");
-    }
-  } else if (server_kind == "threads") {
-    thread_server = std::make_unique<net::TcpServer>(
-        origin.AsHandler(), static_cast<uint16_t>(*port), limits);
-    Status started = thread_server->Start();
-    if (!started.ok()) {
-      std::fprintf(stderr, "%s\n", started.ToString().c_str());
-      return 1;
-    }
-    bound_port = thread_server->port();
-  } else {
-    std::fprintf(stderr, "unknown --server '%s' (threads|epoll)\n",
-                 server_kind.c_str());
-    return 2;
+  net::TcpServer server(origin.AsHandler(), static_cast<uint16_t>(*port),
+                        limits);
+  if (Status started = server.Start(); !started.ok()) {
+    std::fprintf(stderr, "%s\n", started.ToString().c_str());
+    return 1;
   }
-  std::printf("origin listening on 127.0.0.1:%u (%s, %s server, %d pages "
-              "x %d fragments of %.0fB)\n",
-              bound_port, monitor ? "BEM enabled" : "no-cache baseline",
-              server_kind.c_str(), params.num_pages,
+  std::printf("origin listening on 127.0.0.1:%u (%s, %d pages x %d "
+              "fragments of %.0fB)\n",
+              server.port(), monitor ? "BEM enabled" : "no-cache baseline",
+              params.num_pages,
               params.fragments_per_page, params.fragment_size);
   if (push_engine != nullptr) {
     std::printf("push engine on: min-score %.1f, %s\n", *push_min_score,
@@ -333,9 +286,7 @@ int main(int argc, char** argv) {
   }
   push_running.store(false, std::memory_order_relaxed);
   if (push_drainer.joinable()) push_drainer.join();
-  const MicroTime drain_micros = *drain_timeout_ms * kMicrosPerMilli;
-  if (thread_server != nullptr) thread_server->Stop(drain_micros);
-  if (epoll_server != nullptr) epoll_server->Stop(drain_micros);
+  server.Stop(*drain_timeout_ms * kMicrosPerMilli);
   appserver::OriginStats stats = origin.stats();
   std::printf("served %llu requests (%llu hits, %llu misses, %llu refresh "
               "invalidations)\n",

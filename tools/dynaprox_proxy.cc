@@ -5,7 +5,6 @@
 //
 //   ./dynaprox_proxy --port=8080 --origin-host=127.0.0.1
 //       --origin-port=8081 [--capacity=4096] [--pool-size=8]
-//       [--server=threads|epoll] [--workers=2]
 //       [--static-cache] [--debug] [--streaming] [--enable-push]
 //       [--breaker] [--breaker-window=32] [--breaker-error-threshold=0.5]
 //       [--breaker-cooldown-ms=1000]
@@ -41,13 +40,8 @@
 // tail is still arriving from the origin. Requests are served streamed
 // only while --static-cache, --serve-stale, and --debug are all off.
 //
-// --server picks the ingress engine: "threads" (default) is the blocking
-// thread-per-connection server, "epoll" the event-loop server. With
-// --server=epoll and --workers > 1 the DPC runs N event-loop workers,
-// each with its own SO_REUSEPORT listener when the kernel supports it
-// (docs/threading-model.md); per-worker ingress counters appear as
-// dynaprox_ingress_worker_*{worker=N} series and a "workers" status
-// array (docs/observability.md).
+// Ingress is the thread-per-connection net::TcpServer: one thread per
+// client connection (docs/threading-model.md).
 //
 // The ingress limits (docs/failure-modes.md) all default to 0 = off:
 // --max-connections caps concurrent client connections, --max-inflight
@@ -77,7 +71,6 @@
 #include "dpc/proxy.h"
 #include "net/circuit_breaker.h"
 #include "net/connection_pool.h"
-#include "net/epoll_server.h"
 #include "net/tcp.h"
 
 using namespace dynaprox;
@@ -107,14 +100,13 @@ int main(int argc, char** argv) {
   Result<int64_t> drain_timeout_ms = flags->GetInt("drain-timeout", 0);
   Result<int64_t> request_budget_ms = flags->GetInt("request-budget-ms", 0);
   Result<int64_t> chaos_seed = flags->GetInt("chaos-seed", 42);
-  Result<int64_t> workers = flags->GetInt("workers", 2);
   for (const auto* r : {&port, &origin_port, &capacity, &pool_size,
                         &breaker_window, &breaker_cooldown_ms,
                         &stale_capacity, &max_stale_sec, &max_connections,
                         &max_inflight, &header_timeout_ms, &idle_timeout_ms,
                         &write_stall_ms, &max_header_bytes, &max_body_bytes,
                         &drain_timeout_ms, &request_budget_ms,
-                        &chaos_seed, &workers}) {
+                        &chaos_seed}) {
     if (!r->ok()) {
       std::fprintf(stderr, "%s\n", r->status().ToString().c_str());
       return 2;
@@ -180,15 +172,6 @@ int main(int argc, char** argv) {
     origin_link = guarded.get();
   }
 
-  std::string server_kind = flags->GetString("server", "threads");
-  if (server_kind != "threads" && server_kind != "epoll") {
-    std::fprintf(stderr, "unknown --server '%s' (threads|epoll)\n",
-                 server_kind.c_str());
-    return 2;
-  }
-  const int worker_count =
-      server_kind == "epoll" ? static_cast<int>(*workers) : 0;
-
   net::IngressCounters ingress;
   net::ServerLimits limits;
   limits.max_connections = static_cast<int>(*max_connections);
@@ -199,24 +182,10 @@ int main(int argc, char** argv) {
   limits.idle_timeout_micros = *idle_timeout_ms * kMicrosPerMilli;
   limits.write_stall_micros = *write_stall_ms * kMicrosPerMilli;
   limits.counters = &ingress;
-  // Multi-worker epoll: allocate the per-worker ingress slots here so the
-  // proxy (constructed before the server) can export the labeled series
-  // and the server mirrors into them via ServerLimits.
-  std::unique_ptr<net::IngressCounters[]> worker_slots;
-  if (worker_count > 1) {
-    worker_slots = std::make_unique<net::IngressCounters[]>(
-        static_cast<size_t>(worker_count));
-    limits.worker_counters = worker_slots.get();
-    limits.worker_counter_count = worker_count;
-  }
 
   dpc::ProxyOptions options;
   options.capacity = static_cast<bem::DpcKey>(*capacity);
   options.ingress = &ingress;
-  if (worker_slots != nullptr) {
-    options.worker_ingress = worker_slots.get();
-    options.worker_ingress_count = worker_count;
-  }
   options.add_debug_header = flags->GetBool("debug");
   options.streaming = flags->GetBool("streaming");
   options.enable_static_cache = flags->GetBool("static-cache");
@@ -232,38 +201,15 @@ int main(int argc, char** argv) {
   if (guarded != nullptr) options.upstream_breaker = &guarded->breaker();
   dpc::DpcProxy proxy(origin_link, options);
 
-  std::unique_ptr<net::TcpServer> thread_server;
-  std::unique_ptr<net::EpollServer> epoll_server;
-  uint16_t bound_port = 0;
-  if (server_kind == "epoll") {
-    epoll_server = std::make_unique<net::EpollServer>(
-        proxy.AsHandler(), static_cast<uint16_t>(*port),
-        static_cast<int>(*workers), limits);
-    Status started = epoll_server->Start();
-    if (!started.ok()) {
-      std::fprintf(stderr, "%s\n", started.ToString().c_str());
-      return 1;
-    }
-    bound_port = epoll_server->port();
-    if (epoll_server->worker_count() > 1) {
-      std::printf("epoll workers: %d (%s)\n", epoll_server->worker_count(),
-                  epoll_server->reuseport_sharded()
-                      ? "SO_REUSEPORT sharded listeners"
-                      : "shared listener fallback");
-    }
-  } else {
-    thread_server = std::make_unique<net::TcpServer>(
-        proxy.AsHandler(), static_cast<uint16_t>(*port), limits);
-    Status started = thread_server->Start();
-    if (!started.ok()) {
-      std::fprintf(stderr, "%s\n", started.ToString().c_str());
-      return 1;
-    }
-    bound_port = thread_server->port();
+  net::TcpServer server(proxy.AsHandler(), static_cast<uint16_t>(*port),
+                        limits);
+  if (Status started = server.Start(); !started.ok()) {
+    std::fprintf(stderr, "%s\n", started.ToString().c_str());
+    return 1;
   }
   std::printf("DPC listening on 127.0.0.1:%u -> upstream %s:%lld "
               "(capacity %lld, pool %lld%s%s%s%s%s)\n",
-              bound_port, origin_host.c_str(),
+              server.port(), origin_host.c_str(),
               static_cast<long long>(*origin_port),
               static_cast<long long>(*capacity),
               static_cast<long long>(*pool_size),
@@ -277,9 +223,7 @@ int main(int argc, char** argv) {
   char buf[256];
   while (::read(STDIN_FILENO, buf, sizeof(buf)) > 0) {
   }
-  const MicroTime drain_micros = *drain_timeout_ms * kMicrosPerMilli;
-  if (thread_server != nullptr) thread_server->Stop(drain_micros);
-  if (epoll_server != nullptr) epoll_server->Stop(drain_micros);
+  server.Stop(*drain_timeout_ms * kMicrosPerMilli);
   dpc::ProxyStats stats = proxy.stats();
   net::PoolStats pool_stats = upstream.pool().stats();
   std::printf(
